@@ -38,9 +38,13 @@ impl AtpgCounters {
     /// Publish into `registry` under the `atpg.*` names (adds, so
     /// repeated runs accumulate).
     pub fn publish_to(&self, registry: &Registry) {
-        registry.counter("atpg.cubes_generated").add(self.cubes_generated);
+        registry
+            .counter("atpg.cubes_generated")
+            .add(self.cubes_generated);
         registry.counter("atpg.backtracks").add(self.backtracks);
-        registry.counter("atpg.aborted_faults").add(self.aborted_faults);
+        registry
+            .counter("atpg.aborted_faults")
+            .add(self.aborted_faults);
         registry
             .counter("atpg.redundant_faults")
             .add(self.redundant_faults);

@@ -137,11 +137,8 @@ pub fn generate_controlled(
         }
     }
 
-    let pairs: Vec<(Fault, TestCube)> = targets
-        .iter()
-        .copied()
-        .zip(cubes.iter().cloned())
-        .collect();
+    let pairs: Vec<(Fault, TestCube)> =
+        targets.iter().copied().zip(cubes.iter().cloned()).collect();
     let merged = pack_cubes(&pairs);
     Ok(TopoffResult {
         cubes,
@@ -164,7 +161,7 @@ pub fn generate_controlled(
 /// order, hash order or thread count.
 pub fn pack_cubes(pairs: &[(Fault, TestCube)]) -> Vec<TestCube> {
     let mut sorted: Vec<&(Fault, TestCube)> = pairs.iter().collect();
-    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+    sorted.sort_by_key(|pair| pair.0);
     let mut merged: Vec<TestCube> = Vec::new();
     for (_, cube) in sorted {
         match merged.iter_mut().find(|m| m.compatible(cube)) {

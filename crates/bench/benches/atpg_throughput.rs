@@ -191,8 +191,14 @@ fn bench_patterns_e2e(name: &str, circuit: &Circuit) -> Json {
     );
     Json::obj([
         ("circuit", Json::from(name)),
-        ("patterns_before", Json::from(reference.patterns_before as u64)),
-        ("patterns_after", Json::from(reference.patterns_after as u64)),
+        (
+            "patterns_before",
+            Json::from(reference.patterns_before as u64),
+        ),
+        (
+            "patterns_after",
+            Json::from(reference.patterns_after as u64),
+        ),
         (
             "points",
             Json::from(reference.plan.test_points().len() as u64),

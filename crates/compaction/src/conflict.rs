@@ -163,7 +163,8 @@ impl ConflictAnalysis {
                     }
                     if cap == 0 || masks.len() < cap {
                         masks.push(mask);
-                        anchors.push((fault_anchor(&set.targets[i]), fault_anchor(&set.targets[j])));
+                        anchors
+                            .push((fault_anchor(&set.targets[i]), fault_anchor(&set.targets[j])));
                     } else {
                         capped = true;
                     }
@@ -240,8 +241,8 @@ fn blocking_mask(a: &TestCube, b: &TestCube, n_inputs: usize) -> Option<Bitset> 
 mod tests {
     use super::*;
     use tpi_atpg::Ternary;
-    use tpi_sim::{Fault, RunControl};
     use tpi_netlist::{CircuitBuilder, GateKind};
+    use tpi_sim::{Fault, RunControl};
 
     fn cube(s: &str) -> TestCube {
         TestCube::new(

@@ -139,13 +139,8 @@ mod tests {
         let universe = FaultUniverse::collapsed(&c).unwrap();
         let control = RunControl::cancellable();
         control.cancel();
-        let set = CubeSet::generate(
-            &c,
-            universe.faults(),
-            &CubeConfig::default(),
-            &control,
-        )
-        .unwrap();
+        let set =
+            CubeSet::generate(&c, universe.faults(), &CubeConfig::default(), &control).unwrap();
         assert!(set.interrupted.is_some());
         assert_eq!(set.uncovered, universe.len());
     }

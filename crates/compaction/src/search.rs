@@ -215,7 +215,11 @@ impl PatternsOptimizer {
     /// # Errors
     ///
     /// [`NetlistError::Cycle`] for cyclic circuits.
-    pub fn solve(&self, circuit: &Circuit, faults: &[Fault]) -> Result<PatternsOutcome, NetlistError> {
+    pub fn solve(
+        &self,
+        circuit: &Circuit,
+        faults: &[Fault],
+    ) -> Result<PatternsOutcome, NetlistError> {
         self.solve_controlled(circuit, faults, &RunControl::unlimited(), None)
     }
 
@@ -395,8 +399,8 @@ impl PatternsOptimizer {
             probe_counters.merge(&probed.counters);
             // A commit must strictly shrink the pattern set without
             // giving up fault coverage.
-            let improves = probed.patterns() < current.patterns()
-                && probed.uncovered <= current.uncovered;
+            let improves =
+                probed.patterns() < current.patterns() && probed.uncovered <= current.uncovered;
             if improves {
                 let better = match &best {
                     None => true,

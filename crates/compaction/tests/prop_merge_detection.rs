@@ -16,9 +16,7 @@ use tpi_compaction::{CubeConfig, CubeSet};
 use tpi_gen::dags::{random_dag, RandomDagConfig};
 use tpi_gen::rpr;
 use tpi_netlist::Circuit;
-use tpi_sim::{
-    DetectionMode, Fault, FaultSimulator, PatternSource, RunControl, SimOptions,
-};
+use tpi_sim::{DetectionMode, Fault, FaultSimulator, PatternSource, RunControl, SimOptions};
 
 /// A [`PatternSource`] replaying one fixed pattern (mirror of the
 /// private helper `topoff` verifies cubes with).
@@ -84,8 +82,7 @@ fn check_all_compatible_pairs(
             let merged: TestCube = set.cubes[i].merged(&set.cubes[j]);
             let pattern = merged.filled_with(fill_stream(fill_seed | 1));
             let targets: [Fault; 2] = [set.targets[i], set.targets[j]];
-            let mut sim =
-                FaultSimulator::with_options(circuit, options).expect("acyclic circuit");
+            let mut sim = FaultSimulator::with_options(circuit, options).expect("acyclic circuit");
             let mut source = OnePattern::new(&pattern);
             let result = sim
                 .run(&mut source, 1, &targets)

@@ -39,10 +39,23 @@
 //! trading a bounded amount of optimality for speed; the returned plan is
 //! *always* feasible because every retained state carries exact
 //! probabilities — bucketing is only a pruning key.
+//!
+//! # The frontier loop
+//!
+//! Most child pairs and local options lose to a cheaper state with the
+//! same bucket key, so a candidate starts as a plain record — its
+//! probabilities, cost and misses, plus the indices of the states and
+//! the decision it came from — offered to a flat bucket table that keeps
+//! one slot per live key and is reused from node to node. A plan (an `Rc`
+//! join tree) is built only for a candidate that survives. Survivors
+//! leave the table in bucket-key order, and within a bucket in insertion
+//! order; on a tie in `(cost, misses)` (costs within `1e-15`) the state
+//! offered first is kept. These rules decide which of several
+//! equal-cost plans the DP returns.
 
 use std::rc::Rc;
 
-use tpi_netlist::{GateKind, NodeId, TestPoint, Topology};
+use tpi_netlist::{GateKind, NodeId, TestPoint, TestPointKind, Topology};
 use tpi_sim::RunControl;
 
 use crate::{Plan, TpiError, TpiProblem};
@@ -213,6 +226,255 @@ struct RunMode {
     allow_abandon: bool,
 }
 
+/// A child-pair candidate while folding a gate's children: the combined
+/// accumulators, cost and misses, and the two states it joins (an index
+/// into the accumulated frontier and one into the child's frontier).
+#[derive(Copy, Clone, Debug)]
+struct Pair {
+    cacc: f64,
+    wprod: f64,
+    pending: f64,
+    cost: f64,
+    missed: u32,
+    acc: u32,
+    child: u32,
+}
+
+/// The local decision behind a node-state candidate.
+#[derive(Copy, Clone, Debug)]
+enum Decision {
+    /// No point on the line.
+    Keep,
+    /// One point on the line (OP, CP-AND, CP-OR or TP).
+    Insert(TestPointKind),
+    /// A control point, then an observation of the pre-CP line.
+    ControlThenObserve(TestPointKind),
+}
+
+impl Decision {
+    /// The plan of a surviving candidate: its source plan plus the
+    /// decision's points on line `id`.
+    fn plan(self, source: &PlanRef, id: NodeId) -> PlanRef {
+        match self {
+            Decision::Keep => source.clone(),
+            Decision::Insert(kind) => plan_push(source, TestPoint::new(id, kind)),
+            Decision::ControlThenObserve(kind) => plan_push(
+                &plan_push(source, TestPoint::new(id, kind)),
+                TestPoint::observe(id),
+            ),
+        }
+    }
+}
+
+/// A node-state candidate: the [`State`] it becomes if it survives the
+/// prune, less the plan, plus its `c1` bucket key and the combined state
+/// (an index into the fold result) and decision it came from.
+#[derive(Copy, Clone, Debug)]
+struct Choice {
+    c1: f64,
+    demand: f64,
+    cost: f64,
+    missed: u32,
+    c1_key: u64,
+    source: u32,
+    decision: Decision,
+}
+
+/// `(cost, missed)`, the pair a bucket keeps a Pareto set over.
+trait Scored {
+    fn score(&self) -> (f64, u32);
+}
+
+impl Scored for Pair {
+    fn score(&self) -> (f64, u32) {
+        (self.cost, self.missed)
+    }
+}
+
+impl Scored for Choice {
+    fn score(&self) -> (f64, u32) {
+        (self.cost, self.missed)
+    }
+}
+
+/// A bucket key: `(cacc, wprod, pending)` keys while folding, `(c1,
+/// demand, 0)` keys while pruning. Lexicographic order is bucket order.
+type Key = [u64; 3];
+
+/// End of a chain, or an empty index cell.
+const NIL: u32 = u32::MAX;
+
+/// One live key: its chain of kept entries, first-kept first.
+#[derive(Debug)]
+struct Slot {
+    key: Key,
+    /// Cell of `Buckets::index` pointing here.
+    cell: u32,
+    head: u32,
+}
+
+#[derive(Debug)]
+struct Entry<T> {
+    item: T,
+    next: u32,
+}
+
+/// A flat bucket table: keys map through an open-addressed index to
+/// slots, and each slot chains its `(cost, missed)` Pareto set through a
+/// shared entry arena. An entry the newcomer dominates is unlinked and
+/// its storage reused, so the table holds only live keys and entries
+/// (in MinCost mode, where `missed` is always 0, a slot holds exactly
+/// one entry and a better candidate overwrites it in place). Clearing
+/// touches only the live slots, so the storage is kept across nodes.
+#[derive(Debug)]
+struct Buckets<T> {
+    /// Slot number per cell (`NIL` = empty); a power of two, at most half
+    /// full.
+    index: Vec<u32>,
+    /// Live keys in first-offer order.
+    slots: Vec<Slot>,
+    entries: Vec<Entry<T>>,
+    /// Chain of unlinked entries awaiting reuse.
+    free: u32,
+    /// Scratch for the key-ordered drain.
+    order: Vec<u32>,
+}
+
+impl<T: Scored + Copy> Buckets<T> {
+    fn new() -> Buckets<T> {
+        Buckets {
+            index: vec![NIL; 64],
+            slots: Vec::new(),
+            entries: Vec::new(),
+            free: NIL,
+            order: Vec::new(),
+        }
+    }
+
+    /// Index cell for `key` in a table of `mask + 1` cells (multiplicative
+    /// hashing; the high half of the product mixes every key bit). Keys
+    /// are bucket numbers or probability bits the DP derives, not raw
+    /// input.
+    fn home(key: &Key, mask: usize) -> usize {
+        const K: u64 = 0x9E37_79B9_7F4A_7C15;
+        let h = ((key[0].wrapping_mul(K) ^ key[1]).wrapping_mul(K) ^ key[2]).wrapping_mul(K);
+        (h >> 32) as usize & mask
+    }
+
+    /// The slot for `key`, created empty on first sight.
+    fn slot(&mut self, key: Key) -> usize {
+        let mask = self.index.len() - 1;
+        let mut cell = Self::home(&key, mask);
+        loop {
+            match self.index[cell] {
+                NIL => break,
+                s if self.slots[s as usize].key == key => return s as usize,
+                _ => cell = (cell + 1) & mask,
+            }
+        }
+        let s = self.slots.len();
+        self.index[cell] = s as u32;
+        self.slots.push(Slot {
+            key,
+            cell: cell as u32,
+            head: NIL,
+        });
+        if 2 * self.slots.len() > self.index.len() {
+            self.grow();
+        }
+        s
+    }
+
+    fn grow(&mut self) {
+        let cells = 2 * self.index.len();
+        self.index.clear();
+        self.index.resize(cells, NIL);
+        let mask = cells - 1;
+        for (s, slot) in self.slots.iter_mut().enumerate() {
+            let mut cell = Self::home(&slot.key, mask);
+            while self.index[cell] != NIL {
+                cell = (cell + 1) & mask;
+            }
+            self.index[cell] = s as u32;
+            slot.cell = cell as u32;
+        }
+    }
+
+    /// Offer `item` to bucket `key`. It is dropped when a kept entry
+    /// costs no more (within `1e-15`) and misses no more, so on a tie the
+    /// first-offered entry stays; otherwise it evicts the entries it
+    /// dominates and joins the end of the bucket.
+    fn offer(&mut self, key: Key, item: T) {
+        let slot = self.slot(key);
+        let (cost, missed) = item.score();
+        let mut e = self.slots[slot].head;
+        while e != NIL {
+            let entry = &self.entries[e as usize];
+            let (ec, em) = entry.item.score();
+            if ec <= cost + 1e-15 && em <= missed {
+                return;
+            }
+            e = entry.next;
+        }
+        let mut last = NIL;
+        let mut e = self.slots[slot].head;
+        while e != NIL {
+            let next = self.entries[e as usize].next;
+            let (ec, em) = self.entries[e as usize].item.score();
+            if cost <= ec + 1e-15 && missed <= em {
+                match last {
+                    NIL => self.slots[slot].head = next,
+                    l => self.entries[l as usize].next = next,
+                }
+                self.entries[e as usize].next = self.free;
+                self.free = e;
+            } else {
+                last = e;
+            }
+            e = next;
+        }
+        let entry = Entry { item, next: NIL };
+        let new = match self.free {
+            NIL => {
+                self.entries.push(entry);
+                (self.entries.len() - 1) as u32
+            }
+            f => {
+                self.free = self.entries[f as usize].next;
+                self.entries[f as usize] = entry;
+                f
+            }
+        };
+        match last {
+            NIL => self.slots[slot].head = new,
+            l => self.entries[l as usize].next = new,
+        }
+    }
+
+    /// Hand every kept entry to `emit` — buckets in key order, each in
+    /// insertion order — and empty the table for the next use.
+    fn drain_sorted(&mut self, mut emit: impl FnMut(T)) {
+        self.order.clear();
+        self.order.extend(0..self.slots.len() as u32);
+        let slots = &self.slots;
+        self.order.sort_unstable_by_key(|&s| slots[s as usize].key);
+        for &s in &self.order {
+            let mut e = self.slots[s as usize].head;
+            while e != NIL {
+                let entry = &self.entries[e as usize];
+                emit(entry.item);
+                e = entry.next;
+            }
+        }
+        for slot in &self.slots {
+            self.index[slot.cell as usize] = NIL;
+        }
+        self.slots.clear();
+        self.entries.clear();
+        self.free = NIL;
+    }
+}
+
 impl DpOptimizer {
     /// Create an optimizer with the given configuration.
     pub fn new(config: DpConfig) -> DpOptimizer {
@@ -349,6 +611,9 @@ impl DpOptimizer {
 
         let mut stats = DpStats::default();
         let mut frontiers: Vec<Option<Vec<State>>> = vec![None; circuit.node_count()];
+        let mut pairs: Buckets<Pair> = Buckets::new();
+        let mut choices: Buckets<Choice> = Buckets::new();
+        let mut kept: Vec<Choice> = Vec::new();
 
         for (step, &id) in topo.order().iter().enumerate() {
             if step & 63 == 0 {
@@ -374,55 +639,63 @@ impl DpOptimizer {
                     plan: None,
                 }]
             } else {
-                self.fold_children(kind, node.fanins(), &mut frontiers, mode, &mut stats)?
+                self.fold_children(
+                    kind,
+                    node.fanins(),
+                    &mut frontiers,
+                    mode,
+                    &mut stats,
+                    &mut pairs,
+                )
             };
 
             // 2. Add own-fault demands (committing or, in MaxCoverage
             // mode, abandoning each), then branch on local decisions.
             let (t0, t1) = targeted[id.index()];
-            let mut next: Vec<State> = Vec::with_capacity(combined.len() * 4);
-            for fs in combined {
+            for (source, fs) in combined.iter().enumerate() {
                 let c1_pre = finalize_c1(kind, fs.cacc);
                 // (demand, extra misses) variants after this node's own
-                // targets are folded in.
-                let mut variants: Vec<(f64, u32)> = vec![(fs.pending, 0)];
+                // targets are folded in: at most two per target polarity.
+                let mut variants = [(fs.pending, 0u32); 4];
+                let mut count = 1;
                 for (flag, exc) in [(t0, c1_pre), (t1, 1.0 - c1_pre)] {
                     if !flag {
                         continue;
                     }
                     let r = required(delta, exc);
-                    let mut expanded = Vec::with_capacity(variants.len() * 2);
-                    for &(d, m) in &variants {
+                    let mut expanded = [(0.0, 0u32); 4];
+                    let mut next = 0;
+                    for &(d, m) in &variants[..count] {
                         let committed = d.max(r);
                         if committed <= 1.0 + DEMAND_EPS {
-                            expanded.push((committed, m));
+                            expanded[next] = (committed, m);
+                            next += 1;
                         }
                         if mode.allow_abandon {
-                            expanded.push((d, m + 1));
+                            expanded[next] = (d, m + 1);
+                            next += 1;
                         }
                     }
                     variants = expanded;
+                    count = next;
                 }
-                for (demand, extra_missed) in variants {
-                    self.push_options(
-                        &mut next,
-                        id,
+                for &(demand, extra_missed) in &variants[..count] {
+                    stats.states_created += self.offer_options(
+                        &mut choices,
+                        source as u32,
                         c1_pre,
                         demand,
                         fs.missed + extra_missed,
-                        &fs,
-                        c_o,
-                        c_c,
-                        c_f,
+                        fs.cost,
+                        (c_o, c_c, c_f),
                         mode,
                     );
                 }
             }
-            stats.states_created += next.len();
-            let pruned = self.prune(next, mode);
-            stats.max_frontier = stats.max_frontier.max(pruned.len());
+            self.prune(&mut choices, &mut kept, mode);
+            stats.max_frontier = stats.max_frontier.max(kept.len());
             stats.nodes += 1;
-            if pruned.is_empty() {
+            if kept.is_empty() {
                 return Err(TpiError::Infeasible {
                     fault: format!(
                         "stem fault at `{}` (threshold {} exceeds reachable excitation)",
@@ -431,7 +704,17 @@ impl DpOptimizer {
                     ),
                 });
             }
-            frontiers[id.index()] = Some(pruned);
+            frontiers[id.index()] = Some(
+                kept.iter()
+                    .map(|c| State {
+                        c1: c.c1,
+                        demand: c.demand,
+                        cost: c.cost,
+                        missed: c.missed,
+                        plan: c.decision.plan(&combined[c.source as usize].plan, id),
+                    })
+                    .collect(),
+            );
         }
 
         // 3. Accept at the roots (minimise misses first, then cost).
@@ -482,9 +765,9 @@ impl DpOptimizer {
     }
 
     /// Fold the children frontiers of a gate into combined accumulator
-    /// states, deduplicating into bucket keys on the fly so the pairwise
-    /// product never materialises.
-    #[allow(clippy::too_many_arguments)]
+    /// states. Pairs are deduplicated into bucket keys on the fly, so the
+    /// pairwise product never materialises, and only the surviving pairs
+    /// get a joined plan.
     fn fold_children(
         &self,
         kind: GateKind,
@@ -492,7 +775,8 @@ impl DpOptimizer {
         frontiers: &mut [Option<Vec<State>>],
         mode: RunMode,
         stats: &mut DpStats,
-    ) -> Result<Vec<FoldState>, TpiError> {
+        pairs: &mut Buckets<Pair>,
+    ) -> Vec<FoldState> {
         let mut acc: Vec<FoldState> = Vec::new();
         for (ci, &child) in fanins.iter().enumerate() {
             let child_frontier = frontiers[child.index()]
@@ -510,202 +794,195 @@ impl DpOptimizer {
                         plan: s.plan.clone(),
                     })
                     .collect();
-            } else {
-                // Key → small Pareto set over (cost, missed).
-                let mut map: std::collections::HashMap<(u64, u64, u64), Vec<FoldState>> =
-                    std::collections::HashMap::with_capacity(acc.len().min(1 << 12));
-                for a in &acc {
-                    for s in &child_frontier {
-                        let w = side_weight(kind, s.c1);
-                        let pending = div_demand(a.pending, w).max(div_demand(s.demand, a.wprod));
-                        if pending > 1.0 + DEMAND_EPS {
-                            continue;
-                        }
-                        let cost = a.cost + s.cost;
-                        if cost > mode.budget + 1e-12 {
-                            continue;
-                        }
-                        stats.states_created += 1;
-                        let cacc = step_cacc(kind, a.cacc, s.c1);
-                        let wprod = a.wprod * w;
-                        let missed = a.missed + s.missed;
-                        let key = self.fold_key(cacc, wprod, pending);
-                        let slot = map.entry(key).or_default();
-                        if pareto_insert(slot, cost, missed) {
-                            slot.push(FoldState {
-                                cacc,
-                                wprod,
-                                pending,
-                                cost,
-                                missed,
-                                plan: plan_join(&a.plan, &s.plan),
-                            });
-                        }
+                continue;
+            }
+            for (ai, a) in acc.iter().enumerate() {
+                for (si, s) in child_frontier.iter().enumerate() {
+                    let w = side_weight(kind, s.c1);
+                    let pending = div_demand(a.pending, w).max(div_demand(s.demand, a.wprod));
+                    if pending > 1.0 + DEMAND_EPS {
+                        continue;
                     }
-                }
-                // Drain in key order: hash order would let equal-cost ties
-                // (and the truncation below) resolve differently run to run.
-                let mut grouped: Vec<((u64, u64, u64), Vec<FoldState>)> = map.into_iter().collect();
-                grouped.sort_unstable_by_key(|(k, _)| *k);
-                acc = grouped.into_iter().flat_map(|(_, v)| v).collect();
-                if acc.len() > self.config.max_states_per_node {
-                    acc.sort_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite"));
-                    acc.truncate(self.config.max_states_per_node);
+                    let cost = a.cost + s.cost;
+                    if cost > mode.budget + 1e-12 {
+                        continue;
+                    }
+                    stats.states_created += 1;
+                    let cacc = step_cacc(kind, a.cacc, s.c1);
+                    let wprod = a.wprod * w;
+                    pairs.offer(
+                        self.fold_key(cacc, wprod, pending),
+                        Pair {
+                            cacc,
+                            wprod,
+                            pending,
+                            cost,
+                            missed: a.missed + s.missed,
+                            acc: ai as u32,
+                            child: si as u32,
+                        },
+                    );
                 }
             }
+            let mut folded = Vec::new();
+            pairs.drain_sorted(|p| {
+                folded.push(FoldState {
+                    cacc: p.cacc,
+                    wprod: p.wprod,
+                    pending: p.pending,
+                    cost: p.cost,
+                    missed: p.missed,
+                    plan: plan_join(
+                        &acc[p.acc as usize].plan,
+                        &child_frontier[p.child as usize].plan,
+                    ),
+                });
+            });
+            acc = folded;
+            if acc.len() > self.config.max_states_per_node {
+                acc.sort_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite"));
+                acc.truncate(self.config.max_states_per_node);
+            }
         }
-        Ok(acc)
+        acc
     }
 
-    fn fold_key(&self, cacc: f64, wprod: f64, pending: f64) -> (u64, u64, u64) {
+    fn fold_key(&self, cacc: f64, wprod: f64, pending: f64) -> Key {
         if self.config.exact {
-            (cacc.to_bits(), wprod.to_bits(), pending.to_bits())
+            [cacc.to_bits(), wprod.to_bits(), pending.to_bits()]
         } else {
-            let (ck, _) = self.keys(cacc.clamp(0.0, 1.0), 0.0);
-            let (wk, _) = self.keys(wprod.clamp(0.0, 1.0), 0.0);
-            let (_, dk) = self.keys(0.0, pending);
-            (ck, wk, dk)
+            [
+                self.c1_key(cacc.clamp(0.0, 1.0)),
+                self.c1_key(wprod.clamp(0.0, 1.0)),
+                self.demand_key(pending),
+            ]
         }
     }
 
-    /// Enumerate the local decisions for one combined state.
+    fn state_key(&self, c1: f64, demand: f64) -> Key {
+        if self.config.exact {
+            [c1.to_bits(), demand.to_bits(), 0]
+        } else {
+            [self.c1_key(c1), self.demand_key(demand), 0]
+        }
+    }
+
+    /// Uniform `c1` bucket: `round(c1 · (resolution − 1))`.
+    fn c1_key(&self, c1: f64) -> u64 {
+        round_key(c1 * f64::from(self.config.c1_resolution - 1))
+    }
+
+    /// Logarithmic demand bucket: `0` for no demand, else
+    /// `1 + ⌊−log₂(demand) · resolution⌋`. The `as u64` cast is the floor:
+    /// it truncates non-negative values and saturates negative ones to 0,
+    /// exactly as `floor` followed by the cast would.
+    fn demand_key(&self, demand: f64) -> u64 {
+        if demand == 0.0 {
+            0
+        } else {
+            1 + (-demand.log2() * f64::from(self.config.demand_resolution)) as u64
+        }
+    }
+
+    /// Offer the local decisions for one combined state to the node's
+    /// bucket table, returning how many candidates were offered.
     #[allow(clippy::too_many_arguments)]
-    fn push_options(
+    fn offer_options(
         &self,
-        out: &mut Vec<State>,
-        id: NodeId,
+        choices: &mut Buckets<Choice>,
+        source: u32,
         c1: f64,
         demand: f64,
         missed: u32,
-        fs: &FoldState,
-        c_o: f64,
-        c_c: f64,
-        c_f: f64,
+        cost: f64,
+        (c_o, c_c, c_f): (f64, f64, f64),
         mode: RunMode,
-    ) {
-        let affordable = |cost: f64| cost <= mode.budget + 1e-12;
-        // none
-        if affordable(fs.cost) {
-            out.push(State {
-                c1,
-                demand,
-                cost: fs.cost,
-                missed,
-                plan: fs.plan.clone(),
-            });
-        }
+    ) -> usize {
+        let mut offered = 0;
+        let mut offer = |c1: f64, demand: f64, cost: f64, decision: Decision| {
+            if cost <= mode.budget + 1e-12 {
+                let key = self.state_key(c1, demand);
+                choices.offer(
+                    key,
+                    Choice {
+                        c1,
+                        demand,
+                        cost,
+                        missed,
+                        c1_key: key[0],
+                        source,
+                        decision,
+                    },
+                );
+                offered += 1;
+            }
+        };
+        offer(c1, demand, cost, Decision::Keep);
         // OP: observe the line (demand ≤ 1 already holds) — clears it.
-        if affordable(fs.cost + c_o) {
-            out.push(State {
-                c1,
-                demand: 0.0,
-                cost: fs.cost + c_o,
-                missed,
-                plan: plan_push(&fs.plan, TestPoint::observe(id)),
-            });
-        }
+        offer(
+            c1,
+            0.0,
+            cost + c_o,
+            Decision::Insert(TestPointKind::Observe),
+        );
         // CP-AND / CP-OR: reshape c1; pending demands pass the new gate
         // whose side input is non-controlling with probability 1/2.
-        let doubled = if demand == 0.0 { 0.0 } else { 2.0 * demand };
-        let control_options: &[(f64, TestPoint)] = if self.config.enable_control {
-            &[
-                (c1 * 0.5, TestPoint::control_and(id)),
-                (0.5 + 0.5 * c1, TestPoint::control_or(id)),
-            ]
-        } else {
-            &[]
-        };
-        for &(kind_c1, tp) in control_options {
-            if doubled <= 1.0 + DEMAND_EPS && affordable(fs.cost + c_c) {
-                out.push(State {
-                    c1: kind_c1,
-                    demand: doubled,
-                    cost: fs.cost + c_c,
-                    missed,
-                    plan: plan_push(&fs.plan, tp),
-                });
-            }
-            // CP + OP with the observation on the *pre-CP* line (emitted
-            // as [CP, OP]; the transform then taps the original line):
-            // demands clear at full observability, then the CP reshapes.
-            if affordable(fs.cost + c_c + c_o) {
-                out.push(State {
-                    c1: kind_c1,
-                    demand: 0.0,
-                    cost: fs.cost + c_c + c_o,
-                    missed,
-                    plan: plan_push(&plan_push(&fs.plan, tp), TestPoint::observe(id)),
-                });
+        if self.config.enable_control {
+            let doubled = if demand == 0.0 { 0.0 } else { 2.0 * demand };
+            for (kind_c1, kind) in [
+                (c1 * 0.5, TestPointKind::ControlAnd),
+                (0.5 + 0.5 * c1, TestPointKind::ControlOr),
+            ] {
+                if doubled <= 1.0 + DEMAND_EPS {
+                    offer(kind_c1, doubled, cost + c_c, Decision::Insert(kind));
+                }
+                // CP + OP with the observation on the *pre-CP* line
+                // (emitted as [CP, OP]; the transform then taps the
+                // original line): demands clear at full observability,
+                // then the CP reshapes.
+                offer(
+                    kind_c1,
+                    0.0,
+                    cost + c_c + c_o,
+                    Decision::ControlThenObserve(kind),
+                );
             }
         }
         // Full test point: observe the line and re-drive consumers from a
         // fresh equiprobable input.
-        if self.config.enable_full && affordable(fs.cost + c_f) {
-            out.push(State {
-                c1: 0.5,
-                demand: 0.0,
-                cost: fs.cost + c_f,
-                missed,
-                plan: plan_push(&fs.plan, TestPoint::full(id)),
-            });
+        if self.config.enable_full {
+            offer(0.5, 0.0, cost + c_f, Decision::Insert(TestPointKind::Full));
         }
+        offered
     }
 
-    fn keys(&self, c1: f64, demand: f64) -> (u64, u64) {
-        if self.config.exact {
-            (c1.to_bits(), demand.to_bits())
-        } else {
-            let c1k = (c1 * f64::from(self.config.c1_resolution - 1)).round() as u64;
-            let dk = if demand == 0.0 {
-                0
-            } else {
-                1 + (-demand.log2() * f64::from(self.config.demand_resolution)).floor() as u64
-            };
-            (c1k, dk)
-        }
-    }
-
-    /// Prune a node frontier: keep a `(cost, missed)` Pareto set per
-    /// `(c1, demand)` bucket; in MinCost mode additionally sweep a 2-D
-    /// Pareto front per `c1` bucket (a state dominated by a lower-demand,
-    /// no-more-expensive sibling dies).
-    fn prune(&self, states: Vec<State>, mode: RunMode) -> Vec<State> {
-        let mut map: std::collections::HashMap<(u64, u64), Vec<State>> =
-            std::collections::HashMap::with_capacity(states.len().min(1 << 12));
-        for s in states {
-            let key = self.keys(s.c1, s.demand);
-            let slot = map.entry(key).or_default();
-            if pareto_insert(slot, s.cost, s.missed) {
-                slot.push(s);
-            }
-        }
-        // Key order, not hash order, so tie-breaking is deterministic.
-        let mut grouped: Vec<((u64, u64), Vec<State>)> = map.into_iter().collect();
-        grouped.sort_unstable_by_key(|(k, _)| *k);
-        let mut kept: Vec<State> = grouped.into_iter().flat_map(|(_, v)| v).collect();
+    /// Prune a node's candidates into `kept`: each `(c1, demand)` bucket
+    /// keeps a `(cost, missed)` Pareto set; in MinCost mode a 2-D Pareto
+    /// sweep per `c1` bucket then drops every state a lower-demand,
+    /// no-more-expensive sibling dominates.
+    fn prune(&self, choices: &mut Buckets<Choice>, kept: &mut Vec<Choice>, mode: RunMode) {
+        kept.clear();
+        choices.drain_sorted(|c| kept.push(c));
         if !mode.allow_abandon {
             kept.sort_by(|a, b| {
-                let ka = self.keys(a.c1, a.demand);
-                let kb = self.keys(b.c1, b.demand);
-                ka.0.cmp(&kb.0)
+                a.c1_key
+                    .cmp(&b.c1_key)
                     .then(a.demand.partial_cmp(&b.demand).expect("finite"))
                     .then(a.cost.partial_cmp(&b.cost).expect("finite"))
             });
-            let mut front: Vec<State> = Vec::with_capacity(kept.len());
             let mut current_key = u64::MAX;
             let mut best_cost = f64::INFINITY;
-            for s in kept {
-                let (c1k, _) = self.keys(s.c1, s.demand);
-                if c1k != current_key {
-                    current_key = c1k;
+            kept.retain(|c| {
+                if c.c1_key != current_key {
+                    current_key = c.c1_key;
                     best_cost = f64::INFINITY;
                 }
-                if s.cost < best_cost - 1e-15 {
-                    best_cost = s.cost;
-                    front.push(s);
+                let keep = c.cost < best_cost - 1e-15;
+                if keep {
+                    best_cost = c.cost;
                 }
-            }
-            kept = front;
+                keep
+            });
         }
         if kept.len() > self.config.max_states_per_node {
             kept.sort_by(|a, b| {
@@ -715,42 +992,16 @@ impl DpOptimizer {
             });
             kept.truncate(self.config.max_states_per_node);
         }
-        kept
     }
 }
 
-/// Shared `(cost, missed)` scoring for Pareto maintenance.
-trait Scored {
-    fn score(&self) -> (f64, u32);
-}
-
-impl Scored for State {
-    fn score(&self) -> (f64, u32) {
-        (self.cost, self.missed)
-    }
-}
-
-impl Scored for FoldState {
-    fn score(&self) -> (f64, u32) {
-        (self.cost, self.missed)
-    }
-}
-
-/// Maintain `set` as a Pareto front over (cost, missed): returns whether
-/// the candidate `(cost, missed)` belongs in the front, removing entries
-/// it dominates.
-fn pareto_insert<T: Scored>(set: &mut Vec<T>, cost: f64, missed: u32) -> bool {
-    for e in set.iter() {
-        let (ec, em) = e.score();
-        if ec <= cost + 1e-15 && em <= missed {
-            return false;
-        }
-    }
-    set.retain(|e| {
-        let (ec, em) = e.score();
-        !(cost <= ec + 1e-15 && missed <= em)
-    });
-    true
+/// `x.round() as u64` without the libm call. For `x ≥ 0` the fractional
+/// part `x − trunc(x)` is exact, so comparing it with ½ rounds half away
+/// from zero as `round` does; negative and NaN inputs give 0 and huge
+/// ones saturate, again as the cast after `round` would.
+fn round_key(x: f64) -> u64 {
+    let whole = x as u64;
+    whole.saturating_add(u64::from(x - whole as f64 >= 0.5))
 }
 
 /// Required observability for a fault with excitation `exc`:
@@ -842,6 +1093,41 @@ mod tests {
                 TestPoint::full(NodeId::from_index(2)),
             ]
         );
+    }
+
+    #[test]
+    fn inline_bucket_keys_match_round_and_floor() {
+        let edges = [
+            0.0,
+            0.25,
+            0.49999999999999994,
+            0.5,
+            0.5000000000000001,
+            1.5,
+            2.5,
+            62.49999999999999,
+            62.5,
+            63.0000000001,
+            -0.3,
+            -0.7,
+            f64::NAN,
+            f64::INFINITY,
+            1e300,
+        ];
+        let grid = (0..=200_000).map(|i| f64::from(i) / 200_000.0 * 63.0);
+        for x in edges.into_iter().chain(grid) {
+            assert_eq!(round_key(x), x.round() as u64, "round({x})");
+        }
+        let dp = DpOptimizer::default();
+        let res = f64::from(dp.config.demand_resolution);
+        let demands = [1e-300, 2f64.powi(-10), 0.3, 0.5, 0.75, 1.0, 1.0 + 1e-10];
+        for d in demands
+            .into_iter()
+            .chain((1..=10_000).map(|i| f64::from(i) / 10_000.0))
+        {
+            let floored = 1 + (-d.log2() * res).floor() as u64;
+            assert_eq!(dp.demand_key(d), floored, "demand {d}");
+        }
     }
 
     #[test]

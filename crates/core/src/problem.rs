@@ -42,7 +42,8 @@ impl Threshold {
         }
     }
 
-    /// `δ = 2^exponent` for `exponent ≤ 0`.
+    /// `δ = 2^exponent` for `exponent ≤ 0` (use
+    /// [`try_from_log2`](Threshold::try_from_log2) for untrusted input).
     ///
     /// # Panics
     ///
@@ -50,6 +51,19 @@ impl Threshold {
     pub fn from_log2(exponent: f64) -> Threshold {
         assert!(exponent <= 0.0, "threshold exponent must be ≤ 0");
         Threshold(2f64.powf(exponent))
+    }
+
+    /// `δ = 2^exponent`, refusing every exponent whose δ falls outside
+    /// [`new`](Threshold::new)'s `(0, 1]`: NaN, `exponent > 0`, and
+    /// exponents so negative that δ underflows to 0.
+    ///
+    /// # Errors
+    ///
+    /// [`TpiError::InvalidParameter`] naming the exponent.
+    pub fn try_from_log2(exponent: f64) -> Result<Threshold, TpiError> {
+        Threshold::new(2f64.powf(exponent)).map_err(|_| TpiError::InvalidParameter {
+            message: format!("threshold exponent {exponent}: δ = 2^{exponent} is outside (0, 1]"),
+        })
     }
 
     /// The threshold implied by an `l`-pattern test with per-fault
@@ -255,6 +269,31 @@ mod tests {
     #[should_panic(expected = "threshold exponent")]
     fn positive_exponent_panics() {
         Threshold::from_log2(1.0);
+    }
+
+    #[test]
+    fn try_from_log2_refuses_exponents_outside_the_unit_interval() {
+        assert_eq!(
+            Threshold::try_from_log2(-10.0),
+            Ok(Threshold::from_log2(-10.0))
+        );
+        assert_eq!(Threshold::try_from_log2(0.0).map(Threshold::value), Ok(1.0));
+        // The smallest subnormal δ is still a probability in (0, 1].
+        assert!(Threshold::try_from_log2(-1074.0).is_ok());
+        for bad in [
+            f64::NAN,
+            0.5,
+            3.0,
+            f64::INFINITY,
+            -5000.0,
+            f64::NEG_INFINITY,
+        ] {
+            let err = Threshold::try_from_log2(bad).unwrap_err();
+            assert!(
+                matches!(err, TpiError::InvalidParameter { .. }),
+                "{bad}: {err}"
+            );
+        }
     }
 
     #[test]

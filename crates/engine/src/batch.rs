@@ -217,15 +217,17 @@ pub fn parse_manifest(manifest: &Json, base_dir: &Path) -> Result<(usize, Vec<Jo
         if !matches!(objective.as_str(), "coverage" | "patterns") {
             return Err(format!("job {index}: unknown objective '{objective}'"));
         }
+        let threshold_log2 = job
+            .get("threshold_log2")
+            .and_then(Json::as_f64)
+            .unwrap_or(-10.0);
+        Threshold::try_from_log2(threshold_log2).map_err(|e| format!("job {index}: {e}"))?;
         specs.push(JobSpec {
             index,
             circuit,
             method,
             objective,
-            threshold_log2: job
-                .get("threshold_log2")
-                .and_then(Json::as_f64)
-                .unwrap_or(-10.0),
+            threshold_log2,
             patterns: job.get("patterns").and_then(Json::as_u64).unwrap_or(4096),
             max_rounds: job.get("max_rounds").and_then(Json::as_u64).unwrap_or(8) as usize,
             seed: job.get("seed").and_then(Json::as_u64).unwrap_or(0xDAC_1987),
@@ -747,7 +749,9 @@ fn run_engine_job(spec: &JobSpec, control: &RunControl) -> JobOutcome {
                 max_rounds: spec.max_rounds,
                 ..OptimizeConfig::default()
             };
-            let outcome = match engine.optimize(Threshold::from_log2(spec.threshold_log2), &cfg) {
+            let outcome = match Threshold::try_from_log2(spec.threshold_log2)
+                .and_then(|threshold| engine.optimize(threshold, &cfg))
+            {
                 Ok(outcome) => outcome,
                 Err(e) => return JobOutcome::Error(format!("optimize: {e}")),
             };
@@ -855,6 +859,22 @@ mod tests {
         let bad_objective =
             Json::parse(r#"{"jobs":[{"circuit":"x.bench","objective":"zeal"}]}"#).unwrap();
         assert!(parse_manifest(&bad_objective, Path::new(".")).is_err());
+    }
+
+    #[test]
+    fn manifest_refuses_thresholds_outside_the_unit_interval() {
+        // δ = 2^3 > 1 and δ = 2^-5000 = 0 are parse errors naming the
+        // job, not a panic (or a vacuous δ = 0 run) inside a worker.
+        for exponent in ["3", "-5000"] {
+            let manifest = Json::parse(&format!(
+                r#"{{"jobs":[{{"circuit":"a.bench"}},
+                   {{"circuit":"b.bench","threshold_log2":{exponent}}}]}}"#
+            ))
+            .unwrap();
+            let message = parse_manifest(&manifest, Path::new(".")).unwrap_err();
+            assert!(message.starts_with("job 1: "), "{message}");
+            assert!(message.contains("outside (0, 1]"), "{message}");
+        }
     }
 
     #[test]

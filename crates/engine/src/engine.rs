@@ -128,6 +128,11 @@ struct EngineMetrics {
     search_rounds: Arc<Counter>,
     /// Wall clock of one candidate group's evaluation, microseconds.
     candidate_eval_us: Arc<Histogram>,
+    /// Wall clock of one [`TpiEngine::optimize`] call, microseconds.
+    optimize_us: Arc<Histogram>,
+    /// Wall clock of one region-DP solve (memo misses only; the count is
+    /// the number of solves), microseconds.
+    region_dp_us: Arc<Histogram>,
 }
 
 impl EngineMetrics {
@@ -147,6 +152,8 @@ impl EngineMetrics {
             candidates_evaluated: registry.counter("search.candidates_evaluated"),
             search_rounds: registry.counter("search.rounds"),
             candidate_eval_us: registry.histogram("search.candidate_eval_us"),
+            optimize_us: registry.histogram("engine.optimize_us"),
+            region_dp_us: registry.histogram("engine.region_dp_us"),
             registry,
         }
     }
@@ -800,6 +807,7 @@ impl TpiEngine {
         threshold: Threshold,
         cfg: &OptimizeConfig,
     ) -> Result<ConstructiveOutcome, TpiError> {
+        let _timer = self.metrics.optimize_us.start_timer();
         let costs = CostModel::default();
         let mut plan_points: Vec<TestPoint> = Vec::new();
         let mut rounds: Vec<RoundReport> = Vec::new();
@@ -957,7 +965,10 @@ impl TpiEngine {
                     let problem =
                         TpiProblem::with_targets(&extraction.circuit, threshold, sub_targets)
                             .with_input_probs(extraction.input_probs.clone());
-                    let solved = match dp.solve_region_controlled(&problem, rho, &self.control) {
+                    let timer = self.metrics.region_dp_us.start_timer();
+                    let result = dp.solve_region_controlled(&problem, rho, &self.control);
+                    timer.observe();
+                    let solved = match result {
                         Ok((plan, _)) => {
                             Some(plan.test_points().to_vec()).filter(|points| !points.is_empty())
                         }
@@ -1496,5 +1507,9 @@ mod tests {
             "unchanged regions must replay memoized DP solutions, stats: {:?}",
             eng.stats()
         );
+        // Every DP actually run (a memo miss) is timed, replays are not.
+        let region_dp = eng.registry().histogram("engine.region_dp_us");
+        assert_eq!(region_dp.count(), eng.stats().memo_misses);
+        assert_eq!(eng.registry().histogram("engine.optimize_us").count(), 1);
     }
 }

@@ -16,7 +16,8 @@
 //!   (`op`, `cp-and`, `cp-or`, `tp`) with incremental re-measurement.
 //! * `{"cmd":"optimize","threshold_log2":-8,"max_rounds":8}` — run the
 //!   constructive loop on the session.
-//! * `{"cmd":"stats"}` — cache/simulation counters.
+//! * `{"cmd":"stats"}` — cache/simulation counters, plus total optimize
+//!   and region-DP wall clock (µs) and the number of region-DP solves.
 //! * `{"cmd":"metrics"}` — the full observability snapshot (engine and
 //!   fault-sim counters, request-latency histograms, error counters) as
 //!   a JSON object; works with or without a loaded session.
@@ -256,6 +257,8 @@ impl ServeState {
             "stats" => {
                 let engine = self.engine_mut()?;
                 let s = engine.stats();
+                let optimize = engine.registry().histogram("engine.optimize_us");
+                let region_dp = engine.registry().histogram("engine.region_dp_us");
                 Ok(Json::obj([
                     ("ok", Json::from(true)),
                     ("analysis_rebuilds", Json::from(s.analysis_rebuilds)),
@@ -267,6 +270,11 @@ impl ServeState {
                     ("memo_hits", Json::from(s.memo_hits)),
                     ("memo_misses", Json::from(s.memo_misses)),
                     ("memo_entries", Json::from(engine.memo_len())),
+                    // Where optimize time goes: its total wall clock and
+                    // the region-DP solves inside it.
+                    ("optimize_us", Json::from(optimize.sum())),
+                    ("region_dp_solves", Json::from(region_dp.count())),
+                    ("region_dp_us", Json::from(region_dp.sum())),
                 ]))
             }
             "metrics" => {
@@ -410,12 +418,13 @@ impl ServeState {
                 ))
             }
         }
-        let threshold = Threshold::from_log2(
+        let threshold = Threshold::try_from_log2(
             request
                 .get("threshold_log2")
                 .and_then(Json::as_f64)
                 .unwrap_or(-10.0),
-        );
+        )
+        .map_err(|e| err("bad_request", e.to_string()))?;
         let cfg = OptimizeConfig {
             max_rounds: request
                 .get("max_rounds")
@@ -473,7 +482,10 @@ impl ServeState {
     /// cache, so follow-up requests on the same session replay it.
     fn cmd_optimize_patterns(&mut self, request: &Json) -> Result<Json, ServeError> {
         let mut cfg = PatternsConfig {
-            max_points: request.get("max_points").and_then(Json::as_u64).unwrap_or(8) as usize,
+            max_points: request
+                .get("max_points")
+                .and_then(Json::as_u64)
+                .unwrap_or(8) as usize,
             max_cost: request
                 .get("max_cost")
                 .and_then(Json::as_f64)
@@ -674,6 +686,38 @@ mod tests {
             .unwrap());
         assert!(response.get("rounds").unwrap().as_u64().unwrap() >= 1);
         assert!(response.get("partial").is_none());
+        // Every region DP the optimize solved (memo misses) was timed.
+        let stats = ok(&state.handle_line(r#"{"cmd":"stats"}"#).unwrap());
+        let solves = stats.get("region_dp_solves").and_then(Json::as_u64);
+        assert_eq!(solves, stats.get("memo_misses").and_then(Json::as_u64));
+        assert!(stats.get("optimize_us").and_then(Json::as_u64).is_some());
+        assert!(stats.get("region_dp_us").and_then(Json::as_u64).is_some());
+    }
+
+    #[test]
+    fn bad_thresholds_are_refused_and_keep_the_session() {
+        let mut state = ServeState::new();
+        ok(&state
+            .handle_line(&format!(
+                r#"{{"cmd":"load","bench":"{BENCH}","patterns":256}}"#
+            ))
+            .unwrap());
+        // δ = 2^3 > 1, and δ = 2^-5000 underflows to 0.
+        for exponent in ["3", "-5000"] {
+            failed(
+                &state
+                    .handle_line(&format!(
+                        r#"{{"cmd":"optimize","threshold_log2":{exponent}}}"#
+                    ))
+                    .unwrap(),
+                "bad_request",
+            );
+        }
+        // The loaded circuit survived: no reset, no reload needed.
+        ok(&state.handle_line(r#"{"cmd":"coverage"}"#).unwrap());
+        ok(&state
+            .handle_line(r#"{"cmd":"optimize","threshold_log2":-4,"max_rounds":1}"#)
+            .unwrap());
     }
 
     #[test]

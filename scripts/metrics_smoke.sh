@@ -113,7 +113,28 @@ assert hist["type"] == "histogram", hist
 assert hist["count"] == cands["value"], (hist, cands)
 for lo, n in hist["buckets"]:
     assert isinstance(lo, int) and isinstance(n, int), hist
-print("insert metrics: ok (search referee counters and eval-time histogram)")
+# Every region DP the engine ran (a memo miss) is timed, inside one
+# timed optimize call.
+region = doc["engine.region_dp_us"]
+assert region["type"] == "histogram", region
+assert region["count"] == doc["engine.memo_misses"]["value"] >= 1, (region, doc["engine.memo_misses"])
+assert doc["engine.optimize_us"]["count"] == 1, doc["engine.optimize_us"]
+print("insert metrics: ok (search referee counters, eval-time and region-DP histograms)")
+EOF
+
+# ---- insert --method dp --metrics-out: the DP's own work counters. ----
+"$TPI" insert "$dir/cone.bench" --log2-threshold -8 --method dp \
+  --metrics-out "$dir/dp.json" > /dev/null
+python3 - "$dir/dp.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+nodes = doc["core.dp.nodes"]
+assert nodes["type"] == "counter" and nodes["value"] == 31, nodes  # 16 inputs + 15 ANDs
+states = doc["core.dp.states_created"]
+assert states["type"] == "counter" and states["value"] >= nodes["value"], states
+frontier = doc["core.dp.max_frontier"]
+assert frontier["type"] == "gauge" and 1 <= frontier["value"] <= states["value"], frontier
+print("dp insert metrics: ok (nodes, states created, largest frontier)")
 EOF
 
 # ---- tpi stats renders the snapshot as a table. ----

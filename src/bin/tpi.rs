@@ -396,10 +396,7 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
     let circuit = load(flags.file()?)?;
     let threshold = if let Some(e) = flags.get("log2-threshold") {
         let exp: f64 = e.parse().map_err(|_| "bad --log2-threshold")?;
-        if exp > 0.0 {
-            return Err("--log2-threshold must be ≤ 0".into());
-        }
-        Threshold::from_log2(exp)
+        Threshold::try_from_log2(exp).map_err(|e| format!("bad --log2-threshold: {e}"))?
     } else {
         let length: u64 = flags.num("test-length", 32_000)?;
         let confidence: f64 = flags.num("confidence", 0.98)?;
@@ -423,7 +420,7 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
     if score_threads == 0 {
         return Err("--score-threads must be ≥ 1".into());
     }
-    let options = sim_options_flags(&flags)?;
+    let options = sim_options_flags(flags)?;
     // `--deadline-ms`: run the optimizer under a RunControl deadline; an
     // interrupted run still commits its best-so-far prefix plan
     // (reported with `"partial": true`).
@@ -438,14 +435,25 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
 
     let mut interrupted = None;
     let plan = match method {
-        "dp" => DpOptimizer::default()
-            // Bottom-up DP has no useful half-finished table: a deadline
-            // here is a hard error, not an anytime result.
-            .solve_region_controlled(&problem, 1.0, &control)
-            .map(|(plan, _)| plan)
-            .map_err(|e| {
-                format!("{e}\nhint: for reconvergent circuits use --method constructive")
-            })?,
+        "dp" => {
+            let (plan, stats) = DpOptimizer::default()
+                // Bottom-up DP has no useful half-finished table: a
+                // deadline here is a hard error, not an anytime result.
+                .solve_region_controlled(&problem, 1.0, &control)
+                .map_err(|e| {
+                    format!("{e}\nhint: for reconvergent circuits use --method constructive")
+                })?;
+            // The DP's work: nodes, candidate states, largest frontier
+            // (a gauge, since shards merge it by maximum).
+            registry.counter("core.dp.nodes").add(stats.nodes as u64);
+            registry
+                .counter("core.dp.states_created")
+                .add(stats.states_created as u64);
+            registry
+                .gauge("core.dp.max_frontier")
+                .set(stats.max_frontier as i64);
+            plan
+        }
         "greedy" => {
             let (plan, stopped) = GreedyOptimizer::new(GreedyConfig {
                 candidate_eval,

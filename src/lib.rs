@@ -64,11 +64,11 @@ pub use tpi_testability as testability;
 /// Convenient glob import for examples and tests.
 pub mod prelude {
     pub use tpi_atpg::{Podem, PodemConfig, PodemResult, TestCube};
+    pub use tpi_compaction::{PatternsConfig, PatternsOptimizer};
     pub use tpi_core::{
         evaluate::PlanEvaluator, DpConfig, DpOptimizer, ExactOptimizer, GreedyConfig,
         GreedyOptimizer, Plan, RandomOptimizer, Threshold, TpiProblem,
     };
-    pub use tpi_compaction::{PatternsConfig, PatternsOptimizer};
     pub use tpi_engine::{EngineConfig, OptimizeConfig, TpiEngine};
     pub use tpi_netlist::transform::apply_plan;
     pub use tpi_netlist::{

@@ -126,7 +126,10 @@ fn topoff_output_is_byte_identical_across_thread_counts() {
                 .into_iter()
                 .map(|i| universe.faults()[i])
                 .collect();
-            assert!(!leftovers.is_empty(), "suite circuits must resist 256 patterns");
+            assert!(
+                !leftovers.is_empty(),
+                "suite circuits must resist 256 patterns"
+            );
             let top = topoff::generate(&circuit, &leftovers, PodemConfig::default(), 7).unwrap();
             let cubes: Vec<String> = top.cubes.iter().map(|c| c.to_pattern_string()).collect();
             let seeds: Vec<String> = top.merged.iter().map(|c| c.to_pattern_string()).collect();
@@ -134,7 +137,10 @@ fn topoff_output_is_byte_identical_across_thread_counts() {
                 None => reference = Some((cubes, seeds)),
                 Some((ref_cubes, ref_seeds)) => {
                     assert_eq!(ref_cubes, &cubes, "{threads} threads: cube set diverged");
-                    assert_eq!(ref_seeds, &seeds, "{threads} threads: packed seeds diverged");
+                    assert_eq!(
+                        ref_seeds, &seeds,
+                        "{threads} threads: packed seeds diverged"
+                    );
                 }
             }
         }

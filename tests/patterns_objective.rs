@@ -33,11 +33,9 @@ fn patterns_objective_strictly_reduces_on_three_suite_circuits() {
         );
         // The committed plan replays on the base circuit to the reported
         // structure.
-        let (replayed, _) = krishnamurthy_tpi::netlist::transform::apply_plan(
-            &circuit,
-            outcome.plan.test_points(),
-        )
-        .unwrap();
+        let (replayed, _) =
+            krishnamurthy_tpi::netlist::transform::apply_plan(&circuit, outcome.plan.test_points())
+                .unwrap();
         assert_eq!(replayed.node_count(), outcome.modified.node_count());
     }
 }
