@@ -81,7 +81,7 @@ pub use dp::{DpConfig, DpOptimizer, DpStats};
 pub use error::TpiError;
 pub use exact::{ExactOptimizer, ExactStats};
 pub use general::CandidateEval;
-pub use greedy::{GreedyConfig, GreedyOptimizer};
+pub use greedy::{GreedyConfig, GreedyOptimizer, GreedyStats};
 pub use plan::Plan;
 pub use problem::{TargetFault, Threshold, TpiProblem};
 pub use random::RandomOptimizer;

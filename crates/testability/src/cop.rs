@@ -37,9 +37,12 @@ use tpi_sim::{Fault, FaultSite};
 pub struct CopAnalysis {
     c1: Vec<f64>,
     obs: Vec<f64>,
-    /// `pin_obs[g][p]`: observability of the *branch line* entering gate
-    /// `g` at pin `p` (i.e. `obs(g) ×` the propagation factor through `g`).
-    pin_obs: Vec<Vec<f64>>,
+    /// Gate `g`'s pins occupy `pin_obs[pin_start[g]..pin_start[g + 1]]`.
+    pin_start: Vec<usize>,
+    /// `pin_obs[pin_start[g] + p]`: observability of the *branch line*
+    /// entering gate `g` at pin `p` (i.e. `obs(g) ×` the propagation
+    /// factor through `g`).
+    pin_obs: Vec<f64>,
 }
 
 impl CopAnalysis {
@@ -96,28 +99,42 @@ impl CopAnalysis {
         }
 
         let mut obs = vec![0.0f64; n];
-        let mut pin_obs: Vec<Vec<f64>> = circuit
-            .node_ids()
-            .map(|id| vec![0.0; circuit.fanins(id).len()])
-            .collect();
+        let mut pin_start = Vec::with_capacity(n + 1);
+        pin_start.push(0);
+        for id in circuit.node_ids() {
+            pin_start.push(pin_start[id.index()] + circuit.fanins(id).len());
+        }
+        let mut pin_obs = vec![0.0f64; pin_start[n]];
         for &o in circuit.outputs() {
             obs[o.index()] = 1.0;
         }
+        let mut factors = Vec::new();
         for &id in topo.order().iter().rev() {
             let node = circuit.node(id);
             if node.kind().is_source() {
                 continue;
             }
-            let factors = pin_factors(node.kind(), node.fanins(), &c1);
-            for (p, (&fanin, factor)) in node.fanins().iter().zip(&factors).enumerate() {
+            let fanins = node.fanins();
+            pin_factors(
+                node.kind(),
+                fanins.iter().map(|f| c1[f.index()]),
+                &mut factors,
+            );
+            let row = &mut pin_obs[pin_start[id.index()]..pin_start[id.index() + 1]];
+            for ((slot, &fanin), factor) in row.iter_mut().zip(fanins).zip(&factors) {
                 let branch = obs[id.index()] * factor;
-                pin_obs[id.index()][p] = branch;
+                *slot = branch;
                 if branch > obs[fanin.index()] {
                     obs[fanin.index()] = branch;
                 }
             }
         }
-        Ok(CopAnalysis { c1, obs, pin_obs })
+        Ok(CopAnalysis {
+            c1,
+            obs,
+            pin_start,
+            pin_obs,
+        })
     }
 
     /// Probability the signal is 1 under one random pattern.
@@ -142,7 +159,12 @@ impl CopAnalysis {
     ///
     /// Panics if `pin` is out of range for `gate`.
     pub fn branch_observability(&self, gate: NodeId, pin: u32) -> f64 {
-        self.pin_obs[gate.index()][pin as usize]
+        self.pin_row(gate)[pin as usize]
+    }
+
+    /// Branch observabilities of `gate`'s pins, in pin order.
+    fn pin_row(&self, gate: NodeId) -> &[f64] {
+        &self.pin_obs[self.pin_start[gate.index()]..self.pin_start[gate.index() + 1]]
     }
 
     /// Raw per-node 1-probabilities, indexed by node id (for the
@@ -156,9 +178,10 @@ impl CopAnalysis {
         &self.obs
     }
 
-    /// Raw per-gate branch observabilities, indexed by node id then pin.
-    pub(crate) fn pin_obs_raw(&self) -> &[Vec<f64>] {
-        &self.pin_obs
+    /// Raw branch observabilities in their flat layout: per-gate row
+    /// offsets (`node_count + 1` of them) and the rows themselves.
+    pub(crate) fn pin_obs_raw(&self) -> (&[usize], &[f64]) {
+        (&self.pin_start, &self.pin_obs)
     }
 
     /// Estimated probability that one random pattern detects `fault`:
@@ -179,7 +202,7 @@ impl CopAnalysis {
                 } else {
                     self.c1(driver)
                 };
-                exc * self.pin_obs[gate.index()][pin as usize]
+                exc * self.pin_row(gate)[pin as usize]
             }
         }
     }
@@ -202,28 +225,42 @@ pub(crate) fn gate_c1<I: Iterator<Item = f64>>(kind: GateKind, probs: I) -> f64 
     }
 }
 
-/// Per-pin propagation factors through a gate: the probability that the
-/// remaining fanins hold non-controlling values. Computed with
-/// prefix/suffix products to stay `O(arity)` without dividing by zero.
-pub(crate) fn pin_factors(kind: GateKind, fanins: &[NodeId], c1: &[f64]) -> Vec<f64> {
-    let k = fanins.len();
-    let side: Vec<f64> = match kind {
-        GateKind::And | GateKind::Nand => fanins.iter().map(|f| c1[f.index()]).collect(),
-        GateKind::Or | GateKind::Nor => fanins.iter().map(|f| 1.0 - c1[f.index()]).collect(),
+/// Per-pin propagation factors through a gate, written to `out`: the
+/// probability that the remaining fanins hold non-controlling values.
+/// `pin_c1` yields the fanin 1-probabilities in pin order. Computed with
+/// a prefix product (forward) times a suffix product (backward) to stay
+/// `O(arity)` without dividing by zero. The full analysis and the
+/// incremental probe both call this one kernel, so equal operands give
+/// bit-identical factors.
+pub(crate) fn pin_factors<I>(kind: GateKind, pin_c1: I, out: &mut Vec<f64>)
+where
+    I: DoubleEndedIterator<Item = f64> + ExactSizeIterator + Clone,
+{
+    out.clear();
+    let invert = match kind {
+        GateKind::And | GateKind::Nand => false,
+        GateKind::Or | GateKind::Nor => true,
         GateKind::Buf | GateKind::Not | GateKind::Xor | GateKind::Xnor => {
-            return vec![1.0; k];
+            out.resize(pin_c1.len(), 1.0);
+            return;
         }
-        _ => return vec![0.0; k],
+        _ => {
+            out.resize(pin_c1.len(), 0.0);
+            return;
+        }
     };
-    let mut prefix = vec![1.0; k + 1];
-    for i in 0..k {
-        prefix[i + 1] = prefix[i] * side[i];
+    // Side value of a pin: the probability it is non-controlling.
+    let side = |p: f64| if invert { 1.0 - p } else { p };
+    let mut prefix = 1.0;
+    for p in pin_c1.clone() {
+        out.push(prefix);
+        prefix *= side(p);
     }
-    let mut suffix = vec![1.0; k + 1];
-    for i in (0..k).rev() {
-        suffix[i] = suffix[i + 1] * side[i];
+    let mut suffix = 1.0;
+    for (factor, p) in out.iter_mut().rev().zip(pin_c1.rev()) {
+        *factor *= suffix;
+        suffix *= side(p);
     }
-    (0..k).map(|i| prefix[i] * suffix[i + 1]).collect()
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Metrics smoke: `tpi simulate --metrics-out` and `tpi batch
-# --metrics-out` (on a manifest mixing healthy and failing jobs) must
-# write well-formed registry snapshots with the expected keys, the batch
-# summary line must carry the per-status split, and `tpi stats` must
-# render the snapshot as a table.
+# Metrics smoke: `tpi simulate --metrics-out`, `tpi batch --metrics-out`
+# (on a manifest mixing healthy and failing jobs) and `tpi insert
+# --metrics-out` (constructive, dp and greedy) must write well-formed
+# registry snapshots with the expected keys, the batch summary line must
+# carry the per-status split, and `tpi stats` must render the snapshot
+# as a table.
 set -euo pipefail
 
 TPI="${TPI:-target/release/tpi}"
@@ -24,7 +25,8 @@ EOF
 printf 'INPUT(a)\ny = AND)a(\n' > "$dir/bad.bench"
 
 # ---- simulate --metrics-out: kernel counters present and sane. ----
-"$TPI" simulate "$dir/ok.bench" --patterns 256 --metrics-out "$dir/sim.json"
+# One thread: the scheduler counters below assert a sequential run.
+"$TPI" simulate "$dir/ok.bench" --patterns 256 --threads 1 --metrics-out "$dir/sim.json"
 python3 - "$dir/sim.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -135,6 +137,23 @@ assert states["type"] == "counter" and states["value"] >= nodes["value"], states
 frontier = doc["core.dp.max_frontier"]
 assert frontier["type"] == "gauge" and 1 <= frontier["value"] <= states["value"], frontier
 print("dp insert metrics: ok (nodes, states created, largest frontier)")
+EOF
+
+# ---- insert --method greedy --metrics-out: greedy's own work counters. ----
+"$TPI" insert "$dir/cone.bench" --log2-threshold -8 --method greedy \
+  --metrics-out "$dir/greedy.json" > /dev/null
+python3 - "$dir/greedy.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+for key in ["core.greedy.rounds", "core.greedy.probes", "core.greedy.probe_nodes"]:
+    entry = doc[key]
+    assert entry["type"] == "counter" and isinstance(entry["value"], int), (key, entry)
+# The cone needs points, so greedy scores candidates in every round.
+rounds = doc["core.greedy.rounds"]["value"]
+probes = doc["core.greedy.probes"]["value"]
+assert rounds >= 1 and probes > 0, (rounds, probes)
+assert doc["core.greedy.probe_nodes"]["value"] >= probes, doc["core.greedy.probe_nodes"]
+print("greedy insert metrics: ok (rounds, probes, probe nodes)")
 EOF
 
 # ---- tpi stats renders the snapshot as a table. ----

@@ -455,12 +455,23 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
             plan
         }
         "greedy" => {
-            let (plan, stopped) = GreedyOptimizer::new(GreedyConfig {
+            let (plan, stopped, stats) = GreedyOptimizer::new(GreedyConfig {
                 candidate_eval,
                 ..GreedyConfig::default()
             })
-            .solve_controlled(&problem, &control)
+            .solve_with_stats(&problem, &control)
             .map_err(|e| e.to_string())?;
+            // Greedy's work: scoring rounds, candidates probed, and the
+            // cone nodes those probes visited.
+            registry
+                .counter("core.greedy.rounds")
+                .add(stats.rounds as u64);
+            registry
+                .counter("core.greedy.probes")
+                .add(stats.probes as u64);
+            registry
+                .counter("core.greedy.probe_nodes")
+                .add(stats.probe_nodes as u64);
             interrupted = stopped;
             plan
         }

@@ -1,12 +1,13 @@
 //! `tpi insert` front-end contracts: thresholds outside `(0, 1]` are
 //! refused with a normal error exit (never a panic, never a vacuous
-//! δ = 0 run), and `--metrics-out` attributes the DP's work — `DpStats`
-//! for `--method dp`, timed region-DP solves for `--method constructive`.
+//! δ = 0 run), and `--metrics-out` attributes the optimiser's work —
+//! `DpStats` for `--method dp`, `GreedyStats` for `--method greedy`,
+//! timed region-DP solves for `--method constructive`.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use krishnamurthy_tpi::core::{DpOptimizer, Threshold, TpiProblem};
+use krishnamurthy_tpi::core::{DpOptimizer, GreedyOptimizer, RunControl, Threshold, TpiProblem};
 use krishnamurthy_tpi::engine::json::Json;
 use krishnamurthy_tpi::netlist::bench_format::parse_bench;
 
@@ -118,6 +119,45 @@ fn dp_insert_publishes_the_dp_work_counters() {
             .and_then(|e| e.get("type"))
             .and_then(Json::as_str),
         Some("gauge")
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn greedy_insert_publishes_the_greedy_work_counters() {
+    let dir = temp_dir("greedy");
+    let text = cone_bench();
+    let circuit = dir.join("cone.bench");
+    std::fs::write(&circuit, &text).unwrap();
+    let out = dir.join("metrics.json");
+    let output = tpi(&[
+        "insert",
+        circuit.to_str().unwrap(),
+        "--log2-threshold",
+        "-8",
+        "--method",
+        "greedy",
+        "--metrics-out",
+        out.to_str().unwrap(),
+    ]);
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    // The same solve through the library gives the published figures.
+    let parsed = parse_bench(&text).unwrap();
+    let problem = TpiProblem::min_cost(&parsed, Threshold::from_log2(-8.0)).unwrap();
+    let (_, _, stats) = GreedyOptimizer::default()
+        .solve_with_stats(&problem, &RunControl::unlimited())
+        .unwrap();
+    assert!(stats.rounds >= 1 && stats.probes > 0 && stats.probe_nodes > 0);
+    let doc = metrics(&out);
+    assert_eq!(value(&doc, "core.greedy.rounds"), stats.rounds as u64);
+    assert_eq!(value(&doc, "core.greedy.probes"), stats.probes as u64);
+    assert_eq!(
+        value(&doc, "core.greedy.probe_nodes"),
+        stats.probe_nodes as u64
     );
     std::fs::remove_dir_all(&dir).ok();
 }
