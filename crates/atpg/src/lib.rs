@@ -10,8 +10,12 @@
 //!
 //! * [`Podem`] — a classic PODEM implementation over the dual-ternary
 //!   (good, faulty) value encoding, with SCOAP-guided backtrace and a
-//!   configurable backtrack limit. Returns a [`TestCube`], a proof of
-//!   untestability, or an abort;
+//!   configurable backtrack limit. Implication is event-driven: each
+//!   decision propagates forward from its primary input over a flat,
+//!   topologically numbered netlist holding both machines' values in
+//!   one byte per line, and backtracking restores values from an undo
+//!   trail. Returns a [`TestCube`], a proof of untestability, or an
+//!   abort;
 //! * [`redundancy`] — sweep a fault list into testable / redundant /
 //!   aborted classes;
 //! * [`topoff`] — generate a compact cube set covering a fault list, with

@@ -10,7 +10,7 @@
 use tpi_netlist::{Circuit, NetlistError};
 use tpi_sim::Fault;
 
-use crate::{Podem, PodemConfig, PodemResult, TestCube};
+use crate::{AtpgCounters, Podem, PodemConfig, PodemResult, TestCube};
 
 /// Result of a redundancy sweep.
 #[derive(Clone, Debug)]
@@ -22,6 +22,10 @@ pub struct RedundancySweep {
     /// Faults on which the search aborted (keep in the target list; they
     /// may still be testable).
     pub undecided: Vec<Fault>,
+    /// What the sweep's searches did (`atpg.*` observability family):
+    /// one witness cube per testable fault, the redundant and aborted
+    /// counts, and the summed backtracks, decisions and implications.
+    pub counters: AtpgCounters,
 }
 
 impl RedundancySweep {
@@ -61,12 +65,24 @@ pub fn sweep(
         testable: Vec::new(),
         redundant: Vec::new(),
         undecided: Vec::new(),
+        counters: AtpgCounters::default(),
     };
     for &fault in faults {
-        match podem.generate(fault)? {
-            PodemResult::Test(cube) => result.testable.push((fault, cube)),
-            PodemResult::Untestable => result.redundant.push(fault),
-            PodemResult::Aborted => result.undecided.push(fault),
+        let outcome = podem.generate(fault)?;
+        result.counters.record_search(&podem);
+        match outcome {
+            PodemResult::Test(cube) => {
+                result.testable.push((fault, cube));
+                result.counters.cubes_generated += 1;
+            }
+            PodemResult::Untestable => {
+                result.redundant.push(fault);
+                result.counters.redundant_faults += 1;
+            }
+            PodemResult::Aborted => {
+                result.undecided.push(fault);
+                result.counters.aborted_faults += 1;
+            }
         }
     }
     Ok(result)
@@ -101,6 +117,13 @@ mod tests {
             sweep.targets().len(),
             universe.len() - sweep.redundant.len()
         );
+        let k = sweep.counters;
+        assert_eq!(k.cubes_generated as usize, sweep.testable.len());
+        assert_eq!(k.redundant_faults as usize, sweep.redundant.len());
+        assert_eq!(k.aborted_faults, 0);
+        // Proving redundancy exhausts a decision tree.
+        assert!(k.backtracks > 0 && k.decisions > k.backtracks);
+        assert!(k.implications > 0);
     }
 
     #[test]

@@ -49,10 +49,15 @@ impl TopoffResult {
 
 /// Generate a top-off cube set for `faults` on `circuit`.
 ///
-/// Processing order is the given fault order; after each generated cube,
-/// the remaining faults are fault-simulated against the cube (don't-cares
-/// filled pseudo-randomly from `seed`) and fortuitous detections are
-/// dropped.
+/// The next target is always the first fault of the remaining list,
+/// which starts as `faults`. After each generated cube, the remaining
+/// faults are fault-simulated against the cube (don't-cares filled
+/// pseudo-randomly from `seed`) and fortuitous detections are dropped.
+/// Every drop — a detection, a redundancy proof or an abort — is a
+/// `swap_remove`: the list's last fault takes the dropped fault's slot.
+/// So after the first target the processing order is not the given
+/// order (the next target is usually the last fault still remaining),
+/// but it is a deterministic function of it.
 ///
 /// # Errors
 ///
@@ -101,7 +106,7 @@ pub fn generate_controlled(
             break;
         }
         let outcome = podem.generate(fault)?;
-        counters.backtracks += podem.last_backtracks();
+        counters.record_search(&podem);
         match outcome {
             PodemResult::Test(cube) => {
                 let pattern = cube.filled_with(|| rng.gen());
@@ -425,6 +430,10 @@ mod tests {
             result.counters.redundant_faults as usize,
             result.redundant.len()
         );
+        // Without constant nets every cube needs at least one decision,
+        // and every search starts with a sweep of the whole circuit.
+        assert!(result.counters.decisions >= result.cubes.len() as u64);
+        assert!(result.counters.implications > result.counters.decisions);
         // Every fault not covered by its own cube was a fortuitous drop.
         assert_eq!(
             result.counters.fortuitous_drops as usize,

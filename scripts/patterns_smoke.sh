@@ -3,8 +3,9 @@
 # generated bench circuits must (a) never report more patterns than the
 # no-TPI baseline, (b) emit a valid plan JSON line whose points replay
 # onto a loadable netlist, (c) meter the work under the atpg.* and
-# compaction.* metric families, and (d) leave the default coverage
-# objective byte-identical to an explicit `--objective coverage` run.
+# compaction.* metric families (PODEM decisions and implications
+# included), and (d) leave the default coverage objective byte-identical
+# to an explicit `--objective coverage` run.
 set -euo pipefail
 
 TPI="${TPI:-target/release/tpi}"
@@ -96,8 +97,9 @@ EOF
   python3 - "$dir/$bench.metrics.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-for key in ("atpg.cubes_generated", "compaction.cubes", "compaction.conflicts",
-            "compaction.probes", "search.rounds"):
+for key in ("atpg.cubes_generated", "atpg.decisions", "atpg.implications",
+            "compaction.cubes", "compaction.conflicts", "compaction.probes",
+            "search.rounds"):
     assert doc[key]["type"] == "counter" and doc[key]["value"] >= 1, (key, doc.get(key))
 for key in ("compaction.patterns_before", "compaction.patterns_after"):
     assert doc[key]["type"] == "gauge" and doc[key]["value"] >= 1, (key, doc.get(key))
@@ -126,10 +128,12 @@ cmp "$dir/cov_default.bench" "$dir/cov_explicit.bench" \
 python3 - "$dir/atpg.metrics.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-for key in ("atpg.cubes_generated", "atpg.backtracks", "atpg.aborted_faults"):
+for key in ("atpg.cubes_generated", "atpg.backtracks", "atpg.aborted_faults",
+            "atpg.decisions", "atpg.implications"):
     m = doc[key]
     assert m["type"] == "counter" and m["value"] >= 0, (key, m)
-assert doc["atpg.cubes_generated"]["value"] >= 1, doc["atpg.cubes_generated"]
+for key in ("atpg.cubes_generated", "atpg.decisions", "atpg.implications"):
+    assert doc[key]["value"] >= 1, (key, doc[key])
 print("atpg counters: ok")
 EOF
 "$TPI" stats "$dir/atpg.metrics.json" | grep -q 'atpg.cubes_generated' \

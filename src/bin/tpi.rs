@@ -753,16 +753,24 @@ fn atpg(args: &[String]) -> Result<(), String> {
         top.cubes.len(),
         top.seed_count()
     );
+    // The redundancy sweep and the top-off run are both PODEM work.
+    let mut work = sweep.counters;
+    work.merge(&top.counters);
     println!(
-        "atpg work: {} cubes generated, {} backtracks, {} aborted faults",
-        top.counters.cubes_generated, top.counters.backtracks, top.counters.aborted_faults
+        "atpg work: {} cubes generated, {} backtracks, {} decisions, {} implications, \
+         {} aborted faults",
+        work.cubes_generated,
+        work.backtracks,
+        work.decisions,
+        work.implications,
+        work.aborted_faults
     );
     for cube in &top.merged {
         println!("  seed: {}", cube.to_pattern_string());
     }
     if let Some(path) = flags.get("metrics-out") {
         let registry = Registry::new();
-        top.counters.publish_to(&registry);
+        work.publish_to(&registry);
         write_metrics(path, &registry)?;
     }
     Ok(())

@@ -2,7 +2,9 @@
 //! refused with a normal error exit (never a panic, never a vacuous
 //! δ = 0 run), and `--metrics-out` attributes the optimiser's work —
 //! `DpStats` for `--method dp`, `GreedyStats` for `--method greedy`,
-//! timed region-DP solves for `--method constructive`.
+//! timed region-DP solves for `--method constructive`, and for
+//! `tpi atpg` the PODEM work of the redundancy sweep and the top-off
+//! run together.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -194,5 +196,55 @@ fn constructive_insert_times_every_region_dp_solve() {
     assert!(solves >= 1, "{doc}");
     assert_eq!(solves, value(&doc, "engine.memo_misses"));
     assert_eq!(count("engine.optimize_us"), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn atpg_metrics_count_the_redundancy_sweep() {
+    // y = AND(OR(x, NOT x), z): OR(x, NOT x) ≡ 1, so the sweep proves
+    // faults redundant, each by exhausting a decision tree.
+    let dir = temp_dir("atpg");
+    let circuit = dir.join("redundant.bench");
+    std::fs::write(
+        &circuit,
+        "INPUT(x)\nINPUT(z)\nnx = NOT(x)\nt = OR(x, nx)\ny = AND(t, z)\nOUTPUT(y)\n",
+    )
+    .unwrap();
+    let out = dir.join("metrics.json");
+    let output = tpi(&[
+        "atpg",
+        circuit.to_str().unwrap(),
+        "--metrics-out",
+        out.to_str().unwrap(),
+    ]);
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    // "<name>: N faults — T testable, R redundant, U undecided"
+    let redundant: u64 = stdout
+        .lines()
+        .next()
+        .and_then(|summary| {
+            summary
+                .split(", ")
+                .find_map(|part| part.strip_suffix(" redundant"))
+        })
+        .and_then(|count| count.parse().ok())
+        .unwrap_or_else(|| panic!("no redundant count in: {stdout}"));
+    assert!(redundant > 0, "{stdout}");
+    let doc = metrics(&out);
+    assert_eq!(value(&doc, "atpg.redundant_faults"), redundant, "{doc}");
+    let backtracks = value(&doc, "atpg.backtracks");
+    assert!(backtracks > 0, "{doc}");
+    assert!(value(&doc, "atpg.decisions") > backtracks, "{doc}");
+    assert!(value(&doc, "atpg.implications") > 0, "{doc}");
+    // The work line reports the same merged counters.
+    assert!(
+        stdout.contains(&format!("{backtracks} backtracks")),
+        "{stdout}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
