@@ -14,17 +14,13 @@
 //! * `pr2` — explicit mode with block-granular dropping (pre-CPT);
 //! * `pr3` — pre-cancellation (bounds the polling cost, <1% at W=4);
 //! * `pr4` — pre-instrumentation (bounds the always-on kernel-counter
-//!   cost, <1% at W=4);
-//! * `pr6` — current-main before the SIMD backends and the word-major
-//!   propagation plane (the `simd` section's reference).
+//!   cost, <1% at W=4).
 //!
-//! While measuring, the harness cross-checks that every width, every
-//! detection mode and every SIMD backend produces bit-identical
-//! first-detection indices and counts, and that the work-stealing and
-//! static parallel schedulers agree with the sequential run — a wrong
-//! but fast kernel must fail the bench, not win it. The `roofline`
-//! section reports measured gate-evaluation throughput against the
-//! machine's streaming memory bandwidth.
+//! While measuring, the harness cross-checks that every width and every
+//! detection mode produces bit-identical first-detection indices and
+//! counts, and that the work-stealing scheduler agrees with the
+//! sequential run — a wrong but fast kernel must fail the bench, not
+//! win it.
 //!
 //! `cargo bench -p tpi-bench --bench fsim_throughput -- --test` runs a
 //! small smoke check (identity only, one iteration, no JSON) — this is
@@ -40,11 +36,10 @@ use tpi_gen::dags::{random_dag, RandomDagConfig};
 use tpi_netlist::transform::apply_test_point;
 use tpi_netlist::{TestPoint, TestPointKind};
 use tpi_obs::Registry;
-use tpi_sim::parallel::{run_parallel_opts, run_parallel_round_robin};
+use tpi_sim::parallel::run_parallel_opts;
 use tpi_sim::{
-    score_candidate_groups, BackendChoice, BaseDetections, DetectionMode, FaultSimResult,
-    FaultSimulator, FaultUniverse, IndependentPatterns, LogicSim, RandomPatterns, RunControl,
-    SimOptions, SimdBackend,
+    score_candidate_groups, BaseDetections, DetectionMode, FaultSimResult, FaultSimulator,
+    FaultUniverse, IndependentPatterns, RandomPatterns, RunControl, SimOptions,
 };
 
 /// Matches the Criterion groups this harness replaced: mean over 10
@@ -65,7 +60,6 @@ fn main() {
     let pr2 = load_baseline(&root, "results/fsim_pr2.json");
     let pr3 = load_baseline(&root, "results/fsim_pr3.json");
     let pr4 = load_baseline(&root, "results/fsim_pr4.json");
-    let pr6 = load_baseline(&root, "results/fsim_pr6.json");
 
     let mut dropped = Vec::new();
     let mut cpt_dropped = Vec::new();
@@ -75,9 +69,7 @@ fn main() {
         cpt_dropped.push(cpt);
     }
     let (no_dropping, cpt_no_dropping) = bench_no_dropping(baseline.as_ref(), pr2.as_ref());
-    let simd = bench_simd(pr6.as_ref());
     let candidate_eval = bench_candidate_eval();
-    let roofline = bench_roofline();
     let threads_section = bench_threads();
     let polling = bench_polling_overhead(pr3.as_ref());
     let metrics_section = bench_metrics_overhead(pr4.as_ref());
@@ -90,7 +82,6 @@ fn main() {
         ("pr2", pr2.map_or(Json::Null, |(_, raw)| raw)),
         ("pr3", pr3.map_or(Json::Null, |(_, raw)| raw)),
         ("pr4", pr4.map_or(Json::Null, |(_, raw)| raw)),
-        ("pr6", pr6.map_or(Json::Null, |(_, raw)| raw)),
     ]);
 
     let report = Json::obj([
@@ -107,9 +98,7 @@ fn main() {
                 ("no_dropping", cpt_no_dropping),
             ]),
         ),
-        ("simd", simd),
         ("candidate_eval", candidate_eval),
-        ("roofline", roofline),
         ("thread_scaling", threads_section),
         ("polling", polling),
         ("metrics", metrics_section),
@@ -183,19 +172,10 @@ fn ladder_circuit(gates: usize, seed: u64) -> tpi_netlist::Circuit {
 }
 
 fn simulator(circuit: &tpi_netlist::Circuit, w: usize, detection: DetectionMode) -> FaultSimulator {
-    simulator_backend(circuit, w, detection, BackendChoice::default())
-}
-
-fn simulator_backend(
-    circuit: &tpi_netlist::Circuit,
-    w: usize,
-    detection: DetectionMode,
-    backend: BackendChoice,
-) -> FaultSimulator {
     let opts = SimOptions {
         block_words: w,
         detection,
-        backend,
+        ..SimOptions::default()
     };
     FaultSimulator::with_options(circuit, opts).expect("acyclic")
 }
@@ -478,144 +458,6 @@ fn cpt_entry(
     Json::obj(entry)
 }
 
-/// SIMD-backend A/B at 1600 gates (dropped, both detection modes):
-/// forced-scalar vs the auto-detected best backend at W = 4 and W = 8,
-/// with first-detection identity asserted between every pair before any
-/// number is reported. Speedups are derived against this run's scalar
-/// timings and against the `results/fsim_pr6.json` snapshot (current
-/// main immediately before the SIMD backends landed; its explicit W=4 is
-/// the PR's acceptance reference). Min-of-30, matching the snapshot's
-/// estimator: on this shared host the mean of 10 swings tens of percent
-/// run-to-run, while the minimum tracks the unpreempted kernel cost
-/// these ratios are about.
-fn bench_simd(pr6: Option<&Baseline>) -> Json {
-    const MIN_SAMPLES: u32 = 30;
-    let time_ns_min = |iter: &mut dyn FnMut()| -> f64 {
-        for _ in 0..3 {
-            iter();
-        }
-        let mut best = f64::INFINITY;
-        for _ in 0..MIN_SAMPLES {
-            let start = Instant::now();
-            iter();
-            best = best.min(start.elapsed().as_nanos() as f64);
-        }
-        best
-    };
-    let gates = 1600usize;
-    let circuit = ladder_circuit(gates, 5);
-    let universe = FaultUniverse::collapsed(&circuit).expect("collapsible");
-    let n_inputs = circuit.inputs().len();
-    let best = SimdBackend::resolve(BackendChoice::Auto).expect("auto backend resolves");
-
-    let mut reference: Option<FaultSimResult> = None;
-    let mut configs = Vec::new();
-    // ns indexed [mode][backend][w] for the speedup summary below.
-    let mut ns_table = [[[0f64; 2]; 2]; 2];
-    for (mi, mode) in [DetectionMode::Explicit, DetectionMode::CriticalPathTracing]
-        .into_iter()
-        .enumerate()
-    {
-        for (bi, choice) in [BackendChoice::Scalar, BackendChoice::Auto]
-            .into_iter()
-            .enumerate()
-        {
-            for (wi, w) in [4usize, 8].into_iter().enumerate() {
-                let mut sim = simulator_backend(&circuit, w, mode, choice);
-                let mut result = None;
-                let ns = time_ns_min(&mut || {
-                    let mut src = RandomPatterns::new(n_inputs, SEED);
-                    result = Some(
-                        sim.run(&mut src, PATTERNS, universe.faults())
-                            .expect("runs"),
-                    );
-                });
-                let result = result.expect("measured at least once");
-                match &reference {
-                    None => reference = Some(result),
-                    Some(scalar) => {
-                        assert_eq!(
-                            scalar.patterns_applied(),
-                            result.patterns_applied(),
-                            "{mode:?} {} W={w} patterns diverge from scalar",
-                            sim.backend().name()
-                        );
-                        for i in 0..universe.len() {
-                            assert_eq!(
-                                scalar.first_detection(i),
-                                result.first_detection(i),
-                                "{mode:?} {} W={w} diverges from scalar on fault {i}",
-                                sim.backend().name()
-                            );
-                        }
-                    }
-                }
-                ns_table[mi][bi][wi] = ns;
-                let tag = match mode {
-                    DetectionMode::Explicit => "explicit",
-                    DetectionMode::CriticalPathTracing => "cpt",
-                };
-                println!(
-                    "simd/{gates} ({tag}, {}, W={w}): {ns:.1} ns/iter",
-                    sim.backend().name()
-                );
-                configs.push(Json::obj([
-                    ("mode", Json::from(tag)),
-                    ("backend", Json::from(sim.backend().name())),
-                    ("block_words", Json::from(w)),
-                    ("ns_per_iter", Json::from(ns)),
-                ]));
-            }
-        }
-    }
-
-    let mut entry = vec![
-        ("gates", Json::from(gates)),
-        ("faults", Json::from(universe.len())),
-        ("patterns", Json::from(PATTERNS)),
-        ("best_backend", Json::from(best.name())),
-        ("configs", Json::Arr(configs)),
-        // Same-run A/B: identical machine state, so these are the
-        // cleanest backend-only ratios.
-        (
-            "speedup_best_over_scalar_w4",
-            Json::from(ns_table[0][0][0] / ns_table[0][1][0]),
-        ),
-        (
-            "speedup_best_over_scalar_w8",
-            Json::from(ns_table[0][0][1] / ns_table[0][1][1]),
-        ),
-        (
-            "cpt_speedup_best_over_scalar_w4",
-            Json::from(ns_table[1][0][0] / ns_table[1][1][0]),
-        ),
-        (
-            "cpt_speedup_best_over_scalar_w8",
-            Json::from(ns_table[1][0][1] / ns_table[1][1][1]),
-        ),
-    ];
-    if let Some(before) = baseline_ns(pr6, "dropped", gates, 4) {
-        // The PR acceptance ratio: pre-SIMD main's scalar W=4 against
-        // this PR's best-backend W=8, both explicit dropped at 1600g.
-        let speedup = before / ns_table[0][1][1];
-        println!(
-            "simd acceptance: pr6 explicit W=4 {before:.0} ns → best W=8 \
-             {:.0} ns ({speedup:.2}x)",
-            ns_table[0][1][1]
-        );
-        entry.push(("pr6_explicit_w4_ns_per_iter", Json::from(before)));
-        entry.push(("speedup_best_w8_vs_pr6_w4", Json::from(speedup)));
-    }
-    if let Some(before) = baseline_ns(pr6, "cpt.dropped", gates, 4) {
-        entry.push(("pr6_cpt_w4_ns_per_iter", Json::from(before)));
-        entry.push((
-            "cpt_speedup_best_w8_vs_pr6_w4",
-            Json::from(before / ns_table[1][1][1]),
-        ));
-    }
-    Json::obj(entry)
-}
-
 /// Candidate-scoring A/B on the 1600-gate suite circuit: the legacy
 /// clone-and-resimulate-everything referee loop against the batched
 /// scorer (`score_candidate_groups`), which validates groups before
@@ -814,88 +656,14 @@ fn bench_candidate_eval() -> Json {
     ])
 }
 
-/// Roofline context for the gate-evaluation kernel: measured streaming
-/// memory bandwidth (64 MiB sequential u64 reduction, best of several
-/// passes) against the kernel's achieved gate-evaluations per second and
-/// its modelled traffic per evaluation.
-///
-/// One *gate evaluation* is one gate × one pattern. Per 64-pattern word
-/// the compiled kernel reads one `u64` per fanin and writes one `u64`
-/// out, so the traffic model is `(avg_fanins + 1) × 8 / 64` bytes per
-/// evaluation — a compulsory-traffic lower bound (it ignores the `Op`
-/// stream, which is shared across lanes, and any cache reuse). The
-/// resulting `ceiling_mgate_evals_per_sec` is therefore an upper bound;
-/// `roofline_utilization` below 1.0 is expected for cache-resident
-/// circuits where compute, not DRAM, is the limiter.
-fn bench_roofline() -> Json {
-    // Streaming-bandwidth microbench: 8 Mi u64 = 64 MiB, far beyond LLC.
-    const WORDS: usize = 8 << 20;
-    let buf: Vec<u64> = (0..WORDS as u64).collect();
-    let mut best_ns = f64::INFINITY;
-    for _ in 0..5 {
-        let start = Instant::now();
-        let mut acc = 0u64;
-        for &x in &buf {
-            acc = acc.wrapping_add(x);
-        }
-        std::hint::black_box(acc);
-        best_ns = best_ns.min(start.elapsed().as_nanos() as f64);
-    }
-    let bytes = (WORDS * 8) as f64;
-    let gb_per_sec = bytes / best_ns; // bytes/ns == GB/s
-    println!("roofline: streaming read bandwidth {gb_per_sec:.2} GB/s");
-
-    let gates = 1600usize;
-    let circuit = ladder_circuit(gates, 5);
-    let sim = LogicSim::new(&circuit).expect("acyclic");
-    let n = circuit.node_count();
-    let total_fanins: usize = circuit.node_ids().map(|id| circuit.fanins(id).len()).sum();
-    let avg_fanins = total_fanins as f64 / gates as f64;
-    let bytes_per_eval = (avg_fanins + 1.0) * 8.0 / 64.0;
-
-    let w = 8usize;
-    let inputs = circuit.inputs().len();
-    let input_words: Vec<u64> = (0..inputs * w)
-        .map(|i| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .collect();
-    let mut values = vec![0u64; n * w];
-    let ns = time_ns(|| {
-        sim.simulate_block_into(&input_words, &mut values, w);
-        std::hint::black_box(&values);
-    });
-    let evals = (gates * 64 * w) as f64;
-    let mgate_evals_per_sec = evals / (ns * 1e-9) / 1e6;
-    let ceiling = gb_per_sec * 1e9 / bytes_per_eval / 1e6;
-    println!(
-        "roofline: {} backend W={w}: {mgate_evals_per_sec:.1} Mgate-evals/s, \
-         {bytes_per_eval:.3} B/eval, bandwidth ceiling {ceiling:.1} Mgate-evals/s \
-         ({:.1}% of ceiling)",
-        sim.backend().name(),
-        100.0 * mgate_evals_per_sec / ceiling
-    );
-    Json::obj([
-        ("gates", Json::from(gates)),
-        ("block_words", Json::from(w)),
-        ("backend", Json::from(sim.backend().name())),
-        ("stream_read_gb_per_sec", Json::from(gb_per_sec)),
-        ("avg_fanins", Json::from(avg_fanins)),
-        ("bytes_per_gate_eval", Json::from(bytes_per_eval)),
-        ("mgate_evals_per_sec", Json::from(mgate_evals_per_sec)),
-        ("ceiling_mgate_evals_per_sec", Json::from(ceiling)),
-        (
-            "roofline_utilization",
-            Json::from(mgate_evals_per_sec / ceiling),
-        ),
-    ])
-}
-
-/// Scheduler A/B: the work-stealing deque against the legacy static
-/// round-robin partitioner at 1, 2 and 4 threads (400 gates, dropped,
-/// W=4). Every configuration's first detections are asserted
-/// bit-identical to the sequential run before timings are reported —
-/// partitioning and stealing must never change results, only wall-clock.
-/// Min-of-15 per configuration (thread scheduling makes the mean even
-/// noisier than the sequential sections).
+/// Work-stealing scheduler timings at 1, 2 and 4 threads (400 gates,
+/// dropped, W=4), omitting thread counts above the host's hardware
+/// threads (a speedup measured there only shows time slicing). Every
+/// configuration's first detections are asserted bit-identical to the
+/// sequential run before timings are reported — partitioning and
+/// stealing must never change results, only wall-clock. Min-of-15 per
+/// configuration (thread scheduling makes the mean even noisier than
+/// the sequential sections).
 fn bench_threads() -> Json {
     const MIN_SAMPLES: u32 = 15;
     let time_ns_min = |iter: &mut dyn FnMut()| -> f64 {
@@ -923,22 +691,27 @@ fn bench_threads() -> Json {
     let reference = sequential
         .run(&mut src, PATTERNS, universe.faults())
         .expect("runs");
-    let check = |label: &str, threads: usize, result: &FaultSimResult| {
+    let check = |threads: usize, result: &FaultSimResult| {
         assert_eq!(
             reference.patterns_applied(),
             result.patterns_applied(),
-            "{label} threads={threads} patterns diverge from sequential"
+            "threads={threads} patterns diverge from sequential"
         );
         for i in 0..universe.len() {
             assert_eq!(
                 reference.first_detection(i),
                 result.first_detection(i),
-                "{label} threads={threads} diverges from sequential on fault {i}"
+                "threads={threads} diverges from sequential on fault {i}"
             );
         }
     };
+    let hardware_threads = std::thread::available_parallelism().map_or(1, usize::from);
     let mut rows = Vec::new();
+    let mut one_thread_ns = f64::NAN;
     for threads in [1usize, 2, 4] {
+        if threads > hardware_threads {
+            continue;
+        }
         let mut result = None;
         let stealing_ns = time_ns_min(&mut || {
             result = Some(
@@ -953,34 +726,21 @@ fn bench_threads() -> Json {
                 .expect("runs"),
             );
         });
-        check("stealing", threads, &result.expect("measured"));
-        let mut result = None;
-        let round_robin_ns = time_ns_min(&mut || {
-            result = Some(
-                run_parallel_round_robin(
-                    &circuit,
-                    || RandomPatterns::new(n_inputs, SEED),
-                    PATTERNS,
-                    universe.faults(),
-                    threads,
-                    opts(),
-                )
-                .expect("runs"),
-            );
-        });
-        check("round_robin", threads, &result.expect("measured"));
+        check(threads, &result.expect("measured"));
+        if threads == 1 {
+            one_thread_ns = stealing_ns;
+        }
         println!(
-            "thread_scaling/{gates} (W=4, threads={threads}): stealing {stealing_ns:.1} ns, \
-             round-robin {round_robin_ns:.1} ns ({:.3}x)",
-            round_robin_ns / stealing_ns
+            "thread_scaling/{gates} (W=4, threads={threads}): {stealing_ns:.1} ns ({:.3}x \
+             over one thread)",
+            one_thread_ns / stealing_ns
         );
         rows.push(Json::obj([
             ("threads", Json::from(threads)),
             ("stealing_ns_per_iter", Json::from(stealing_ns)),
-            ("round_robin_ns_per_iter", Json::from(round_robin_ns)),
             (
-                "stealing_speedup_over_round_robin",
-                Json::from(round_robin_ns / stealing_ns),
+                "speedup_over_one_thread",
+                Json::from(one_thread_ns / stealing_ns),
             ),
         ]));
     }
@@ -989,10 +749,7 @@ fn bench_threads() -> Json {
         ("faults", Json::from(universe.len())),
         ("patterns", Json::from(PATTERNS)),
         ("block_words", Json::from(4u64)),
-        (
-            "hardware_threads",
-            Json::from(std::thread::available_parallelism().map_or(0, usize::from)),
-        ),
+        ("hardware_threads", Json::from(hardware_threads)),
         ("by_threads", Json::Arr(rows)),
     ])
 }
@@ -1217,8 +974,7 @@ fn bench_metrics_overhead(pr4: Option<&Baseline>) -> Json {
 
 /// CI smoke: one small circuit, one iteration per width and mode; every
 /// (width, mode) combination's first detections and counts must be
-/// bit-identical to explicit W=1, under both the forced-scalar and the
-/// auto-detected SIMD backend, and the two parallel schedulers must
+/// bit-identical to explicit W=1, and the work-stealing scheduler must
 /// agree with the sequential run. No JSON output.
 fn smoke() {
     let circuit = ladder_circuit(100, 5);
@@ -1231,72 +987,51 @@ fn smoke() {
     let (counts_ref, _) = narrow
         .run_counting(&mut src, 256, universe.faults())
         .expect("runs");
-    for backend in [BackendChoice::Scalar, BackendChoice::Auto] {
-        for mode in [DetectionMode::Explicit, DetectionMode::CriticalPathTracing] {
-            for w in [1usize, 2, 4, 8] {
-                let mut sim = simulator_backend(&circuit, w, mode, backend);
-                let name = sim.backend().name();
-                let mut src = RandomPatterns::new(n_inputs, SEED);
-                let result = sim.run(&mut src, 256, universe.faults()).expect("runs");
-                assert_eq!(
-                    reference.patterns_applied(),
-                    result.patterns_applied(),
-                    "{mode:?} {name} W={w} patterns diverge"
-                );
-                for i in 0..universe.len() {
-                    assert_eq!(
-                        reference.first_detection(i),
-                        result.first_detection(i),
-                        "{mode:?} {name} W={w} diverges on fault {i}"
-                    );
-                }
-                let mut src = RandomPatterns::new(n_inputs, SEED);
-                let (counts, _) = sim
-                    .run_counting(&mut src, 256, universe.faults())
-                    .expect("runs");
-                assert_eq!(counts_ref, counts, "{mode:?} {name} W={w} counts diverge");
-            }
-        }
-    }
-    for threads in [2usize, 4] {
-        for (label, result) in [
-            (
-                "stealing",
-                run_parallel_opts(
-                    &circuit,
-                    || RandomPatterns::new(n_inputs, SEED),
-                    256,
-                    universe.faults(),
-                    threads,
-                    SimOptions::default(),
-                )
-                .expect("runs"),
-            ),
-            (
-                "round_robin",
-                run_parallel_round_robin(
-                    &circuit,
-                    || RandomPatterns::new(n_inputs, SEED),
-                    256,
-                    universe.faults(),
-                    threads,
-                    SimOptions::default(),
-                )
-                .expect("runs"),
-            ),
-        ] {
+    for mode in [DetectionMode::Explicit, DetectionMode::CriticalPathTracing] {
+        for w in [1usize, 2, 4, 8] {
+            let mut sim = simulator(&circuit, w, mode);
+            let mut src = RandomPatterns::new(n_inputs, SEED);
+            let result = sim.run(&mut src, 256, universe.faults()).expect("runs");
             assert_eq!(
                 reference.patterns_applied(),
                 result.patterns_applied(),
-                "{label} threads={threads} patterns diverge"
+                "{mode:?} W={w} patterns diverge"
             );
             for i in 0..universe.len() {
                 assert_eq!(
                     reference.first_detection(i),
                     result.first_detection(i),
-                    "{label} threads={threads} diverges on fault {i}"
+                    "{mode:?} W={w} diverges on fault {i}"
                 );
             }
+            let mut src = RandomPatterns::new(n_inputs, SEED);
+            let (counts, _) = sim
+                .run_counting(&mut src, 256, universe.faults())
+                .expect("runs");
+            assert_eq!(counts_ref, counts, "{mode:?} W={w} counts diverge");
+        }
+    }
+    for threads in [2usize, 4] {
+        let result = run_parallel_opts(
+            &circuit,
+            || RandomPatterns::new(n_inputs, SEED),
+            256,
+            universe.faults(),
+            threads,
+            SimOptions::default(),
+        )
+        .expect("runs");
+        assert_eq!(
+            reference.patterns_applied(),
+            result.patterns_applied(),
+            "threads={threads} patterns diverge"
+        );
+        for i in 0..universe.len() {
+            assert_eq!(
+                reference.first_detection(i),
+                result.first_detection(i),
+                "threads={threads} diverges on fault {i}"
+            );
         }
     }
     // Batched candidate scoring agrees with the legacy referee loop.
@@ -1353,10 +1088,7 @@ fn smoke() {
         );
     }
     println!(
-        "fsim_throughput smoke: ok (modes, backends, schedulers and candidate \
-         scoring bit-identical across W ∈ {{1,2,4,8}}, best backend: {})",
-        SimdBackend::resolve(BackendChoice::Auto)
-            .expect("auto backend resolves")
-            .name()
+        "fsim_throughput smoke: ok (modes, scheduler and candidate scoring \
+         bit-identical across W ∈ {{1,2,4,8}})"
     );
 }

@@ -45,10 +45,8 @@ pub struct EngineConfig {
     /// modes are bit-identical; critical path tracing (the default) is
     /// faster on circuits with substantial fanout-free regions.
     pub detection: DetectionMode,
-    /// Requested SIMD backend for the simulation kernels (resolved
-    /// against the running CPU when a simulator is built; every backend
-    /// is bit-identical). The resolved backend is published as the
-    /// `sim.backend` gauge.
+    /// Ignored. Kept only so the benchmark driver under `perfbench/`
+    /// keeps building; nothing reads it.
     pub simd_backend: BackendChoice,
     /// Candidate-group scoring path: the batched scorer (default) shares
     /// the base detection state and simulates only each group's dirty
@@ -439,7 +437,7 @@ impl TpiEngine {
         SimOptions {
             block_words: self.config.block_words,
             detection: self.config.detection,
-            backend: self.config.simd_backend,
+            ..SimOptions::default()
         }
     }
 
@@ -456,7 +454,6 @@ impl TpiEngine {
         )?;
         drop(timer);
         run.counters.publish_to(&self.metrics.registry);
-        sim.backend().publish_to(&self.metrics.registry);
         Ok((run.result, run.stopped))
     }
 
@@ -577,7 +574,6 @@ impl TpiEngine {
                 sim.run_controlled(&mut src, self.config.patterns, &dirty_faults, &self.control)?;
             drop(timer);
             run.counters.publish_to(&self.metrics.registry);
-            sim.backend().publish_to(&self.metrics.registry);
             if let Some(reason) = run.stopped {
                 return Err(TpiError::Interrupted { reason });
             }
@@ -1066,7 +1062,6 @@ impl TpiEngine {
             let mut src = IndependentPatterns::new(scratch.inputs().len(), self.config.seed);
             let run = sim.run_controlled(&mut src, budget, &faults, &self.control)?;
             run.counters.publish_to(&self.metrics.registry);
-            sim.backend().publish_to(&self.metrics.registry);
             self.metrics
                 .candidate_eval_us
                 .record_duration(started.elapsed());

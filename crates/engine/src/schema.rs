@@ -1174,7 +1174,7 @@ mod tests {
     fn metrics_snapshot_round_trips_through_json() {
         let registry = tpi_obs::Registry::new();
         registry.counter("batch.status.ok").add(3);
-        registry.gauge("sim.backend").set(1);
+        registry.gauge("compaction.patterns_after").set(1);
         registry.histogram("batch.job_ms").record(12);
         registry.histogram("batch.job_ms").record(900);
         let snap = registry.snapshot();

@@ -76,16 +76,10 @@ pub(crate) enum OpCode {
 
 /// A compiled simulation program: gates in level order, lowered to
 /// [`Op`]s over dense value slots.
-///
-/// Compilation invariant (load-bearing for the `simd` kernels): every
-/// node index stored in `ops` (`out`/`a`/`b` of two-operand opcodes) and
-/// in `fanin_idx` is `< node_op.len()` — they all come from `NodeId`s of
-/// the compiled circuit, whose node count is exactly
-/// [`node_limit`](Program::node_limit).
 #[derive(Clone, Debug)]
 pub(crate) struct Program {
-    pub(crate) ops: Vec<Op>,
-    pub(crate) fanin_idx: Vec<u32>,
+    ops: Vec<Op>,
+    fanin_idx: Vec<u32>,
     /// Node index → op index (`u32::MAX` for sources).
     node_op: Vec<u32>,
     /// Constant nodes and their fill words (all lanes equal).
@@ -189,13 +183,6 @@ impl Program {
         self.ops.len()
     }
 
-    /// Exclusive upper bound on every node index the program touches
-    /// (the compiled circuit's node count) — the bounds witness the
-    /// raw-pointer SIMD kernels assert value-buffer lengths against.
-    pub(crate) fn node_limit(&self) -> usize {
-        self.node_op.len()
-    }
-
     /// Output node index of the op at `op_idx`.
     pub(crate) fn op_out(&self, op_idx: usize) -> u32 {
         self.ops[op_idx].out
@@ -221,9 +208,7 @@ impl Program {
     /// (`scratch` holds the prefix rows), so the whole gate costs
     /// `O(fanins)` instead of `O(fanins²)`.
     ///
-    /// `#[inline(always)]` so the kernel re-instantiates inside the
-    /// `#[target_feature]` wrappers of the `simd` module and its `W`-lane
-    /// loops pick up the wider registers.
+    /// `#[inline(always)]` so `emit` inlines into the sweep's loop.
     #[inline(always)]
     pub(crate) fn sens_op_wide<const W: usize>(
         &self,
@@ -525,13 +510,6 @@ pub(crate) fn fill_slot(values: &mut [u64], id: NodeId, w: usize, word: u64) {
 /// sensitivity words. Writes stay within the region: a fanin whose root
 /// differs is a stem, whose own observability is *not* the one path
 /// through this gate.
-///
-/// A free function (rather than a `FaultSimulator` method) so the
-/// `simd` module's `#[target_feature]` wrappers can re-instantiate it —
-/// `#[inline(always)]` makes the whole sweep compile with the wrapper's
-/// vector features enabled while this scalar instantiation remains the
-/// oracle.
-#[inline(always)]
 pub(crate) fn sens_sweep<const W: usize>(
     program: &Program,
     sens: &mut [u64],

@@ -1,8 +1,7 @@
 use tpi_netlist::ffr::FfrDecomposition;
 use tpi_netlist::{Circuit, GateKind, NetlistError, NodeId, Topology};
 
-use crate::compile::{block_words_supported, DEFAULT_BLOCK_WORDS, MAX_BLOCK_WORDS};
-use crate::simd::{self, BackendChoice, SimdBackend};
+use crate::compile::{self, block_words_supported, DEFAULT_BLOCK_WORDS, MAX_BLOCK_WORDS};
 use crate::{
     ControlledRun, Fault, FaultSimResult, FaultSite, LogicSim, PatternSource, RunControl,
     SimCounters, StopReason,
@@ -32,11 +31,10 @@ pub enum DetectionMode {
     CriticalPathTracing,
 }
 
-/// Construction options for [`FaultSimulator`] (block width × detection
-/// mode × SIMD backend). `Default` is the fast configuration:
-/// size-selected block width, critical path tracing and the best SIMD
-/// backend the CPU supports. Every combination is bit-identical; the
-/// options only trade memory and instruction selection for throughput.
+/// Construction options for [`FaultSimulator`] (block width ×
+/// detection mode). `Default` is the fast configuration: size-selected
+/// block width and critical path tracing. Every combination is
+/// bit-identical; the options only trade memory for throughput.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimOptions {
     /// Block width in 64-bit words (see
@@ -49,20 +47,56 @@ pub struct SimOptions {
     pub block_words: usize,
     /// Detection-word algorithm.
     pub detection: DetectionMode,
-    /// Requested SIMD backend, resolved against the running CPU at
-    /// construction (see [`SimdBackend::resolve`]).
+    /// Ignored. Kept, with [`BackendChoice`], only so the benchmark
+    /// driver under `perfbench/` keeps building; nothing reads it.
     pub backend: BackendChoice,
 }
 
 impl SimOptions {
-    /// Options with an explicit block width and the default mode and
-    /// backend.
+    /// Options with an explicit block width and the default mode.
     pub fn with_block_words(block_words: usize) -> SimOptions {
         SimOptions {
             block_words,
             ..SimOptions::default()
         }
     }
+}
+
+/// The one value of [`SimOptions::backend`]. Kept, with
+/// [`SimdBackend`], only for the benchmark driver under `perfbench/`;
+/// every simulator runs the same portable kernels.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Hash)]
+pub enum BackendChoice {
+    /// The portable kernels.
+    #[default]
+    Auto,
+}
+
+/// What [`SimdBackend::resolve`] returns. Kept only for the benchmark
+/// driver under `perfbench/`; no simulator consults it.
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+pub enum SimdBackend {
+    /// The portable kernels.
+    Scalar,
+}
+
+impl SimdBackend {
+    /// Always [`SimdBackend::Scalar`].
+    ///
+    /// # Errors
+    ///
+    /// Never.
+    pub fn resolve(_choice: BackendChoice) -> Result<SimdBackend, std::convert::Infallible> {
+        Ok(SimdBackend::Scalar)
+    }
+
+    /// `"scalar"`.
+    pub fn name(self) -> &'static str {
+        "scalar"
+    }
+
+    /// Publishes nothing.
+    pub fn publish_to(self, _registry: &tpi_obs::Registry) {}
 }
 
 /// Node count at which the auto-selected block width ([`SimOptions::
@@ -248,10 +282,7 @@ impl FaultSimulator {
     ///
     /// # Panics
     ///
-    /// Panics if `options.block_words` is not 0 (auto), 1, 2, 4 or 8,
-    /// or if `options.backend` explicitly requests a SIMD backend this
-    /// CPU lacks (validate user-supplied choices up front with
-    /// [`SimdBackend::resolve`]).
+    /// Panics if `options.block_words` is not 0 (auto), 1, 2, 4 or 8.
     pub fn with_options(
         circuit: &Circuit,
         options: SimOptions,
@@ -265,8 +296,7 @@ impl FaultSimulator {
             block_words_supported(w),
             "unsupported block width {w} words (supported: 1, 2, 4, 8)"
         );
-        let backend = SimdBackend::resolve(options.backend).unwrap_or_else(|e| panic!("{e}"));
-        let sim = LogicSim::with_backend(circuit, backend)?;
+        let sim = LogicSim::new(circuit)?;
         let topo = Topology::of(circuit)?;
         let mut per_node: Vec<Vec<u32>> = vec![Vec::new(); n];
         for id in circuit.node_ids() {
@@ -342,11 +372,6 @@ impl FaultSimulator {
     /// The configured detection mode.
     pub fn detection(&self) -> DetectionMode {
         self.mode
-    }
-
-    /// The resolved SIMD backend driving the wide kernels.
-    pub fn backend(&self) -> SimdBackend {
-        self.sim.backend()
     }
 
     /// Kernel counters accumulated since construction (or the last
@@ -1143,16 +1168,14 @@ impl FaultSimulator {
             region_active,
             ..
         } = self;
-        simd::sens_sweep(
-            sim.backend(),
-            sim.program(),
-            w,
-            sens,
-            good,
-            sens_scratch,
-            ffr_root,
-            region_active,
-        );
+        let (program, scratch) = (sim.program(), sens_scratch);
+        match w {
+            1 => compile::sens_sweep::<1>(program, sens, good, scratch, ffr_root, region_active),
+            2 => compile::sens_sweep::<2>(program, sens, good, scratch, ffr_root, region_active),
+            4 => compile::sens_sweep::<4>(program, sens, good, scratch, ffr_root, region_active),
+            8 => compile::sens_sweep::<8>(program, sens, good, scratch, ffr_root, region_active),
+            _ => unreachable!("width validated at construction"),
+        }
     }
 
     /// Observability word `j` of stem `r` for the current block: lanes

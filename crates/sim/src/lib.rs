@@ -48,10 +48,7 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid` so exactly one module — [`simd`], the
-// audited runtime-dispatch boundary — can opt back in with a scoped
-// `allow`; everything else in the crate still refuses unsafe code.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod candidate;
@@ -68,7 +65,6 @@ mod misr;
 pub mod montecarlo;
 pub mod parallel;
 mod patterns;
-mod simd;
 mod weighted;
 
 pub use candidate::{score_candidate_groups, BaseDetections, BatchScores, GroupScore};
@@ -76,11 +72,10 @@ pub use compile::{block_words_supported, DEFAULT_BLOCK_WORDS, MAX_BLOCK_WORDS};
 pub use control::{ControlledRun, RunControl, StopReason};
 pub use coverage::{CoveragePoint, FaultSimResult};
 pub use fault::{Fault, FaultSite, FaultUniverse};
-pub use fsim::{BitmapRun, DetectionMode, FaultSimulator, SimOptions};
+pub use fsim::{BackendChoice, BitmapRun, DetectionMode, FaultSimulator, SimOptions, SimdBackend};
 pub use lfsr::{Lfsr, LfsrPatterns};
 pub use logic::LogicSim;
 pub use metrics::SimCounters;
 pub use misr::Misr;
 pub use patterns::{ExhaustivePatterns, IndependentPatterns, PatternSource, RandomPatterns};
-pub use simd::{BackendChoice, SimdBackend};
 pub use weighted::WeightedPatterns;

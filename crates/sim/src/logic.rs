@@ -1,7 +1,6 @@
 use tpi_netlist::{Circuit, NetlistError, NodeId, Topology};
 
 use crate::compile::{block_words_supported, fill_slot, Program};
-use crate::simd::{self, BackendChoice, SimdBackend};
 
 /// Bit-parallel (64 patterns per word) logic simulator.
 ///
@@ -42,35 +41,16 @@ pub struct LogicSim {
     order: Vec<NodeId>,
     level_of: Vec<u32>,
     max_level: u32,
-    backend: SimdBackend,
 }
 
 impl LogicSim {
     /// Build a simulator for `circuit` (the circuit is cloned; the
-    /// simulator is self-contained) with the best SIMD backend the CPU
-    /// supports (see [`SimdBackend::resolve`]; results are bit-identical
-    /// across backends).
+    /// simulator is self-contained).
     ///
     /// # Errors
     ///
     /// [`NetlistError::Cycle`] for cyclic circuits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the `TPI_SIMD_BACKEND` environment override names an
-    /// unknown or unavailable backend (auto-detection itself is
-    /// infallible).
     pub fn new(circuit: &Circuit) -> Result<LogicSim, NetlistError> {
-        let backend = SimdBackend::resolve(BackendChoice::Auto).unwrap_or_else(|e| panic!("{e}"));
-        LogicSim::with_backend(circuit, backend)
-    }
-
-    /// [`LogicSim::new`] with an explicitly resolved SIMD backend.
-    ///
-    /// # Errors
-    ///
-    /// [`NetlistError::Cycle`] for cyclic circuits.
-    pub fn with_backend(circuit: &Circuit, backend: SimdBackend) -> Result<LogicSim, NetlistError> {
         let topo = Topology::of(circuit)?;
         let order = topo
             .order()
@@ -86,18 +66,12 @@ impl LogicSim {
             order,
             level_of,
             max_level: topo.max_level(),
-            backend,
         })
     }
 
     /// The compiled program backing this simulator.
     pub(crate) fn program(&self) -> &Program {
         &self.program
-    }
-
-    /// The resolved SIMD backend driving the wide kernels.
-    pub fn backend(&self) -> SimdBackend {
-        self.backend
     }
 
     /// The circuit this simulator was built for.
@@ -167,7 +141,7 @@ impl LogicSim {
         for &(idx, word) in self.program.constants() {
             fill_slot(values, NodeId::from_index(idx as usize), w, word);
         }
-        simd::execute_block(&self.program, values, w, self.backend);
+        self.program.execute_block(values, w);
     }
 
     /// Extract the primary-output words from a value vector produced by

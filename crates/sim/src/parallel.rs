@@ -18,8 +18,7 @@
 //! budget while its siblings drop in the first block). Grouping by FFR
 //! keeps faults that collapse onto the same stem in one unit, where
 //! they share the per-block stem-observability memo instead of
-//! recomputing it per worker. The legacy static round-robin scheduler
-//! is retained as [`run_parallel_round_robin`] for comparison.
+//! recomputing it per worker.
 
 use std::cmp::Reverse;
 use std::collections::VecDeque;
@@ -153,53 +152,6 @@ where
     .map(|run| run.result)
 }
 
-/// [`run_parallel_opts`] under the legacy *static* scheduler: one fault
-/// chunk per worker, dealt round-robin in descending estimated cone
-/// cost, no stealing. Retained so benchmarks can A/B the schedulers —
-/// results are bit-identical to [`run_parallel_opts`] (partitioning is
-/// result-invariant, see the module docs); only the load balance
-/// differs.
-///
-/// # Errors
-///
-/// [`NetlistError::Cycle`] for cyclic circuits; worker panics propagate.
-///
-/// # Panics
-///
-/// Panics if `options.block_words` is not 0 (default), 1, 2, 4 or 8.
-pub fn run_parallel_round_robin<S, F>(
-    circuit: &Circuit,
-    make_source: F,
-    max_patterns: u64,
-    faults: &[Fault],
-    threads: usize,
-    options: SimOptions,
-) -> Result<FaultSimResult, NetlistError>
-where
-    S: PatternSource,
-    F: Fn() -> S + Sync,
-{
-    let threads = threads.max(1).min(faults.len().max(1));
-    if threads <= 1 {
-        let mut sim = FaultSimulator::with_options(circuit, options)?;
-        let mut source = make_source();
-        return sim.run(&mut source, max_patterns, faults);
-    }
-    let units = static_assignment(circuit, faults, threads)?;
-    run_units(
-        circuit,
-        &make_source,
-        max_patterns,
-        faults,
-        threads,
-        options,
-        &RunControl::unlimited(),
-        units,
-        false,
-    )
-    .map(|run| run.result)
-}
-
 /// [`run_parallel_opts`] under a [`RunControl`] token: every worker
 /// polls a clone of the token once per pattern block (see
 /// [`FaultSimulator::run_controlled`]) and exits cooperatively, so a
@@ -249,7 +201,6 @@ where
         options,
         control,
         units,
-        true,
     )
 }
 
@@ -260,11 +211,9 @@ where
 const UNITS_PER_THREAD: usize = 4;
 
 /// Execute pre-partitioned `units` (fault-index lists) across `threads`
-/// workers and merge the per-unit runs. With `steal`, units live in
-/// per-worker deques: a worker pops its own from the front and steals
-/// from the back of the next non-empty neighbour when it runs dry.
-/// Without it, every worker simply drains its own initial deal — the
-/// legacy static schedule.
+/// workers and merge the per-unit runs. Units live in per-worker
+/// deques: a worker pops its own from the front and steals from the
+/// back of the next non-empty neighbour when it runs dry.
 ///
 /// The merge is performed in unit-index order, so everything the caller
 /// observes (results, stop reason, kernel counters) is independent of
@@ -280,7 +229,6 @@ fn run_units<S, F>(
     options: SimOptions,
     control: &RunControl,
     units: Vec<Vec<usize>>,
-    steal: bool,
 ) -> Result<ControlledRun, NetlistError>
 where
     S: PatternSource,
@@ -342,7 +290,7 @@ where
                 };
                 loop {
                     let mut unit = queues[ti].lock().expect("no poisoned locks").pop_front();
-                    if unit.is_none() && steal {
+                    if unit.is_none() {
                         for off in 1..threads {
                             let victim = (ti + off) % threads;
                             unit = queues[victim].lock().expect("no poisoned locks").pop_back();
@@ -452,25 +400,6 @@ fn steal_units(
         units[k % unit_count].extend_from_slice(&groups[g].1);
     }
     Ok(units)
-}
-
-/// Deal fault indices onto one chunk per worker, round-robin in
-/// descending estimated propagation cost — the legacy static schedule
-/// behind [`run_parallel_round_robin`].
-fn static_assignment(
-    circuit: &Circuit,
-    faults: &[Fault],
-    threads: usize,
-) -> Result<Vec<Vec<usize>>, NetlistError> {
-    let topo = Topology::of(circuit)?;
-    let cone_cost = cone_costs(circuit, &topo);
-    let mut order: Vec<usize> = (0..faults.len()).collect();
-    order.sort_by_key(|&i| (Reverse(cone_cost[fault_anchor(&faults[i]).index()]), i));
-    let mut assignment: Vec<Vec<usize>> = vec![Vec::new(); threads];
-    for (k, &i) in order.iter().enumerate() {
-        assignment[k % threads].push(i);
-    }
-    Ok(assignment)
 }
 
 #[cfg(test)]
@@ -628,39 +557,6 @@ mod tests {
         let r = run_parallel(&c, || RandomPatterns::new(10, 5), 64, &[], 4).unwrap();
         assert_eq!(r.fault_count(), 0);
         assert_eq!(r.coverage(), 1.0);
-    }
-
-    #[test]
-    fn round_robin_scheduler_matches_stealing() {
-        let c = sample();
-        let universe = FaultUniverse::collapsed(&c).unwrap();
-        for threads in [2usize, 4, 8] {
-            let stealing = run_parallel(
-                &c,
-                || RandomPatterns::new(10, 42),
-                700,
-                universe.faults(),
-                threads,
-            )
-            .unwrap();
-            let rr = run_parallel_round_robin(
-                &c,
-                || RandomPatterns::new(10, 42),
-                700,
-                universe.faults(),
-                threads,
-                SimOptions::default(),
-            )
-            .unwrap();
-            assert_eq!(rr.patterns_applied(), stealing.patterns_applied());
-            for i in 0..universe.len() {
-                assert_eq!(
-                    rr.first_detection(i),
-                    stealing.first_detection(i),
-                    "fault {i} with {threads} threads"
-                );
-            }
-        }
     }
 
     #[test]

@@ -42,12 +42,7 @@ assert doc["sim.faults_dropped"]["value"] >= 1
 # Sequential runs never steal.
 assert doc["sim.steals"]["value"] == 0, doc["sim.steals"]
 assert doc["sim.steal_misses"]["value"] == 0, doc["sim.steal_misses"]
-# The resolved SIMD backend is a gauge with a stable code:
-# 0 scalar, 1 avx2, 2 avx512.
-backend = doc["sim.backend"]
-assert backend["type"] == "gauge", backend
-assert backend["value"] in (0, 1, 2), backend
-print("simulate metrics: ok (kernel counters, scheduler counters, backend gauge)")
+print("simulate metrics: ok (kernel counters, scheduler counters)")
 EOF
 
 # ---- batch --metrics-out on a mixed manifest. ----

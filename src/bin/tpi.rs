@@ -3,14 +3,13 @@
 //! ```text
 //! tpi analyze  <file.bench>                      structural + testability report
 //! tpi simulate <file.bench> [--patterns N] [--seed S] [--lfsr] [--threads N]
-//!              [--block-words auto|W] [--detection cpt|explicit]
-//!              [--simd-backend auto|scalar|avx2|avx512] [--metrics-out FILE]
+//!              [--block-words auto|W] [--detection cpt|explicit] [--metrics-out FILE]
 //! tpi insert   <file.bench> [--objective coverage|patterns]
 //!              [--log2-threshold E | --test-length L --confidence C]
 //!              [--method dp|greedy|constructive|constructive-baseline]
 //!              [--candidate-eval batched|legacy] [--score-threads N]
 //!              [--threads N] [--block-words auto|W] [--detection cpt|explicit]
-//!              [--simd-backend auto|scalar|avx2|avx512] [--deadline-ms MS]
+//!              [--deadline-ms MS]
 //!              [--max-points N] [--probe-width N] [--max-backtracks N]
 //!              [--out FILE] [--verilog FILE] [--metrics-out FILE]
 //! tpi atpg     <file.bench> [--patterns N] [--metrics-out FILE]
@@ -26,7 +25,7 @@
 //! ```
 //!
 //! Netlists are ISCAS-85 `.bench` files; `DFF`s are treated as full-scan
-//! pseudo-ports. `insert --method constructive` runs on the incremental
+//! pseudo-ports. Every command refuses a `--flag` it does not read. `insert --method constructive` runs on the incremental
 //! [`TpiEngine`] session; `constructive-baseline` is the from-scratch
 //! loop it is benchmarked against.
 
@@ -49,8 +48,7 @@ use krishnamurthy_tpi::obs::{Registry, Snapshot};
 use krishnamurthy_tpi::server::{self, ListenAddr, Server, ServerConfig};
 use krishnamurthy_tpi::sim::parallel::run_parallel_controlled;
 use krishnamurthy_tpi::sim::{
-    block_words_supported, BackendChoice, DetectionMode, FaultUniverse, LfsrPatterns,
-    RandomPatterns, SimOptions, SimdBackend,
+    block_words_supported, DetectionMode, FaultUniverse, LfsrPatterns, RandomPatterns, SimOptions,
 };
 use krishnamurthy_tpi::testability::profile::TestabilityReport;
 
@@ -103,14 +101,12 @@ fn print_usage() {
          usage:\n  \
          tpi analyze  <file.bench>\n  \
          tpi simulate <file.bench> [--patterns N] [--seed S] [--lfsr] [--threads N]\n           \
-         [--block-words auto|W] [--detection cpt|explicit]\n           \
-         [--simd-backend auto|scalar|avx2|avx512] [--metrics-out FILE]\n  \
+         [--block-words auto|W] [--detection cpt|explicit] [--metrics-out FILE]\n  \
          tpi insert   <file.bench> [--objective coverage|patterns]\n           \
          [--log2-threshold E | --test-length L --confidence C]\n           \
          [--method dp|greedy|constructive|constructive-baseline] [--threads N]\n           \
          [--candidate-eval batched|legacy] [--score-threads N]\n           \
-         [--block-words auto|W] [--detection cpt|explicit]\n           \
-         [--simd-backend auto|scalar|avx2|avx512] [--deadline-ms MS]\n           \
+         [--block-words auto|W] [--detection cpt|explicit] [--deadline-ms MS]\n           \
          [--max-points N] [--probe-width N] [--max-backtracks N]\n           \
          [--out FILE] [--verilog FILE] [--metrics-out FILE]\n  \
          tpi atpg     <file.bench> [--patterns N] [--metrics-out FILE]\n  \
@@ -127,26 +123,36 @@ fn print_usage() {
 }
 
 /// Tiny flag parser: positional file(s) + `--key value` / boolean
-/// `--key`. Most commands take exactly one positional ([`parse`]);
-/// `merge` takes many ([`parse_multi`]).
+/// `--key`. Each command declares the value flags and the boolean flags
+/// it reads; any other `--key` is an error. Most commands take exactly
+/// one positional ([`parse`]); `merge` takes many ([`parse_multi`]).
 ///
 /// [`parse`]: Flags::parse
 /// [`parse_multi`]: Flags::parse_multi
 struct Flags<'a> {
     files: Vec<&'a str>,
     pairs: Vec<(&'a str, Option<&'a str>)>,
+    declared: [&'a [&'a str]; 2],
 }
 
 impl<'a> Flags<'a> {
-    fn parse(args: &'a [String], booleans: &[&str]) -> Result<Flags<'a>, String> {
-        let flags = Self::parse_multi(args, booleans)?;
+    fn parse(
+        args: &'a [String],
+        values: &'a [&'a str],
+        booleans: &'a [&'a str],
+    ) -> Result<Flags<'a>, String> {
+        let flags = Self::parse_multi(args, values, booleans)?;
         if let Some(extra) = flags.files.get(1) {
             return Err(format!("unexpected argument `{extra}`"));
         }
         Ok(flags)
     }
 
-    fn parse_multi(args: &'a [String], booleans: &[&str]) -> Result<Flags<'a>, String> {
+    fn parse_multi(
+        args: &'a [String],
+        values: &'a [&'a str],
+        booleans: &'a [&'a str],
+    ) -> Result<Flags<'a>, String> {
         let mut files = Vec::new();
         let mut pairs = Vec::new();
         let mut i = 0;
@@ -156,19 +162,25 @@ impl<'a> Flags<'a> {
                 if booleans.contains(&key) {
                     pairs.push((key, None));
                     i += 1;
-                } else {
+                } else if values.contains(&key) {
                     let value = args
                         .get(i + 1)
                         .ok_or_else(|| format!("--{key} needs a value"))?;
                     pairs.push((key, Some(value.as_str())));
                     i += 2;
+                } else {
+                    return Err(format!("unknown flag `--{key}` (try `tpi help`)"));
                 }
             } else {
                 files.push(a);
                 i += 1;
             }
         }
-        Ok(Flags { files, pairs })
+        Ok(Flags {
+            files,
+            pairs,
+            declared: [values, booleans],
+        })
     }
 
     fn file(&self) -> Result<&'a str, String> {
@@ -179,6 +191,7 @@ impl<'a> Flags<'a> {
     }
 
     fn get(&self, key: &str) -> Option<&str> {
+        self.assert_declared(key);
         self.pairs
             .iter()
             .find(|(k, _)| *k == key)
@@ -187,6 +200,7 @@ impl<'a> Flags<'a> {
 
     /// Every value of a repeatable flag, in order.
     fn get_all(&self, key: &str) -> Vec<&'a str> {
+        self.assert_declared(key);
         self.pairs
             .iter()
             .filter(|(k, _)| *k == key)
@@ -195,7 +209,17 @@ impl<'a> Flags<'a> {
     }
 
     fn has(&self, key: &str) -> bool {
+        self.assert_declared(key);
         self.pairs.iter().any(|(k, _)| *k == key)
+    }
+
+    /// A command must declare every flag it reads, or passing that flag
+    /// would be refused as unknown.
+    fn assert_declared(&self, key: &str) {
+        debug_assert!(
+            self.declared.iter().any(|keys| keys.contains(&key)),
+            "--{key} is read but not declared"
+        );
     }
 
     fn num<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
@@ -223,7 +247,7 @@ fn load(path: &str) -> Result<Circuit, String> {
 }
 
 fn analyze(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &[], &[])?;
     let circuit = load(flags.file()?)?;
     let topo = Topology::of(&circuit).map_err(|e| e.to_string())?;
     let stats = analysis::stats(&circuit, &topo);
@@ -277,25 +301,6 @@ fn block_words_flag(flags: &Flags) -> Result<usize, String> {
     }
 }
 
-/// `--simd-backend`: instruction selection for the simulation kernels
-/// (results are bit-identical across backends; `auto` picks the best
-/// the CPU supports). Resolved eagerly so a bad request fails with a
-/// CLI error instead of a worker panic.
-fn backend_flag(flags: &Flags) -> Result<BackendChoice, String> {
-    let choice = match flags.get("simd-backend") {
-        None => BackendChoice::Auto,
-        Some(s) => BackendChoice::parse(s).map_err(|e| format!("--simd-backend: {e}"))?,
-    };
-    SimdBackend::resolve(choice).map_err(|e| format!("--simd-backend: {e}"))?;
-    Ok(choice)
-}
-
-/// The resolved backend for a validated choice (for the `sim.backend`
-/// gauge and status lines).
-fn resolved_backend(choice: BackendChoice) -> SimdBackend {
-    SimdBackend::resolve(choice).expect("choice validated by backend_flag")
-}
-
 /// `--metrics-out FILE`: dump a registry snapshot as one JSON object
 /// (render back with `tpi stats FILE`).
 fn write_metrics(path: &str, registry: &Registry) -> Result<(), String> {
@@ -318,12 +323,23 @@ fn sim_options_flags(flags: &Flags) -> Result<SimOptions, String> {
     Ok(SimOptions {
         block_words: block_words_flag(flags)?,
         detection: detection_flag(flags)?,
-        backend: backend_flag(flags)?,
+        ..SimOptions::default()
     })
 }
 
 fn simulate(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["lfsr"])?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "patterns",
+            "seed",
+            "threads",
+            "block-words",
+            "detection",
+            "metrics-out",
+        ],
+        &["lfsr"],
+    )?;
     let circuit = load(flags.file()?)?;
     let patterns: u64 = flags.num("patterns", 32_000)?;
     let seed: u64 = flags.num("seed", 1)?;
@@ -359,7 +375,6 @@ fn simulate(args: &[String]) -> Result<(), String> {
     if let Some(path) = flags.get("metrics-out") {
         let registry = Registry::new();
         run.counters.publish_to(&registry);
-        resolved_backend(options.backend).publish_to(&registry);
         write_metrics(path, &registry)?;
     }
     let result = run.result;
@@ -378,7 +393,30 @@ fn simulate(args: &[String]) -> Result<(), String> {
 }
 
 fn insert(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    // The flags of both objectives; each reads its own share.
+    let flags = Flags::parse(
+        args,
+        &[
+            "objective",
+            "log2-threshold",
+            "test-length",
+            "confidence",
+            "method",
+            "threads",
+            "candidate-eval",
+            "score-threads",
+            "block-words",
+            "detection",
+            "deadline-ms",
+            "max-points",
+            "probe-width",
+            "max-backtracks",
+            "out",
+            "verilog",
+            "metrics-out",
+        ],
+        &[],
+    )?;
     // `--objective`: what the inserted points optimise. `coverage` (the
     // default) raises every fault's random-pattern detection probability
     // past a threshold; `patterns` minimises the compacted deterministic
@@ -484,7 +522,6 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
                     verify_incremental: false,
                     block_words: options.block_words,
                     detection: options.detection,
-                    simd_backend: options.backend,
                     candidate_eval,
                     score_threads,
                     ..EngineConfig::default()
@@ -563,7 +600,6 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     verify_run.counters.publish_to(&registry);
-    resolved_backend(options.backend).publish_to(&registry);
     let verified = verify_run.result;
     println!(
         "measured coverage after insertion: {:.2}% ({} patterns, {} threads)",
@@ -724,7 +760,7 @@ fn insert_patterns(flags: &Flags) -> Result<(), String> {
 }
 
 fn atpg(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &["patterns", "metrics-out"], &[])?;
     let circuit = load(flags.file()?)?;
     let patterns: u64 = flags.num("patterns", 32_000)?;
     let universe = FaultUniverse::collapsed(&circuit).map_err(|e| e.to_string())?;
@@ -783,7 +819,11 @@ fn atpg(args: &[String]) -> Result<(), String> {
 /// when some failed (`--no-fail-on-error` restores the old always-zero
 /// behaviour for soak scripts), `1` on tool errors.
 fn batch_cmd(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse(args, &["resume", "no-fail-on-error"])?;
+    let flags = Flags::parse(
+        args,
+        &["shard", "retries", "resume-from", "out", "metrics-out"],
+        &["resume", "no-fail-on-error"],
+    )?;
     let path = std::path::Path::new(flags.file()?);
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
     let manifest = Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -963,7 +1003,7 @@ fn batch_cmd(args: &[String]) -> Result<ExitCode, String> {
 /// A refused set produces a structured JSON error line on stderr naming
 /// the offending shard/file/indices, plus a human-readable message.
 fn merge_cmd(args: &[String]) -> Result<ExitCode, String> {
-    let flags = Flags::parse_multi(args, &[])?;
+    let flags = Flags::parse_multi(args, &["out", "metrics", "metrics-out"], &[])?;
     if flags.files.is_empty() {
         return Err("merge needs at least one checkpoint file".into());
     }
@@ -1053,7 +1093,20 @@ fn merge_cmd(args: &[String]) -> Result<ExitCode, String> {
 ///   every session a private memo — the A/B baseline the soak harness
 ///   measures against).
 fn serve_cmd(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &["stdio", "isolated-memo"])?;
+    let flags = Flags::parse(
+        args,
+        &[
+            "max-gates",
+            "max-patterns",
+            "metrics-out",
+            "listen",
+            "shared-memo-capacity",
+            "max-sessions",
+            "accept-queue",
+            "max-inflight",
+        ],
+        &["stdio", "isolated-memo"],
+    )?;
     let limits = serve::ServeLimits {
         max_gates: flags.opt_num("max-gates")?,
         max_patterns: flags.opt_num("max-patterns")?,
@@ -1104,7 +1157,7 @@ fn serve_cmd(args: &[String]) -> Result<(), String> {
 /// `tpi stats FILE` — render a `--metrics-out` snapshot (or a serve
 /// `metrics` reply) as an aligned table with histogram summaries.
 fn stats_cmd(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &[], &[])?;
     let path = flags.file()?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -1117,7 +1170,7 @@ fn stats_cmd(args: &[String]) -> Result<(), String> {
 }
 
 fn export(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(args, &["verilog", "dot"], &[])?;
     let circuit = load(flags.file()?)?;
     let mut wrote = false;
     if let Some(v) = flags.get("verilog") {

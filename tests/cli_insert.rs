@@ -4,7 +4,8 @@
 //! `DpStats` for `--method dp`, `GreedyStats` for `--method greedy`,
 //! timed region-DP solves for `--method constructive`, and for
 //! `tpi atpg` the PODEM work of the redundancy sweep and the top-off
-//! run together.
+//! run together. A flag the command does not read — a typo, or one that
+//! no longer exists — is refused before anything runs.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -246,5 +247,46 @@ fn atpg_metrics_count_the_redundancy_sweep() {
         stdout.contains(&format!("{backtracks} backtracks")),
         "{stdout}"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs `tpi` and requires a normal error exit that names `flag` as
+/// unknown, with nothing printed to stdout.
+fn assert_refuses_flag(args: &[&str], flag: &str) {
+    let output = tpi(args);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains(&format!("unknown flag `{flag}`")),
+        "{args:?}: {stderr}"
+    );
+    assert!(output.stdout.is_empty(), "{args:?}: nothing may run");
+}
+
+#[test]
+fn misspelt_flags_are_refused() {
+    let dir = temp_dir("typo");
+    let circuit = dir.join("cone.bench");
+    std::fs::write(&circuit, cone_bench()).unwrap();
+    let path = circuit.to_str().unwrap();
+    // `--metod greedy` must not silently run the default DP.
+    assert_refuses_flag(&["insert", path, "--metod", "greedy"], "--metod");
+    assert_refuses_flag(&["simulate", path, "--patern", "64"], "--patern");
+    assert_refuses_flag(&["analyze", path, "--bogus-flag", "1"], "--bogus-flag");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_removed_simd_backend_flag_is_refused() {
+    let dir = temp_dir("backend");
+    let circuit = dir.join("cone.bench");
+    std::fs::write(&circuit, cone_bench()).unwrap();
+    let path = circuit.to_str().unwrap();
+    for command in ["simulate", "insert"] {
+        assert_refuses_flag(
+            &[command, path, "--simd-backend", "avx512"],
+            "--simd-backend",
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,7 +1,7 @@
 //! End-to-end `--metrics-out` contract: the file the CLI writes must be
 //! a well-formed registry snapshot (every entry typed, counters
-//! non-negative integers, the nine `sim.*` kernel counters and the
-//! `sim.backend` gauge always present), identical runs must produce
+//! non-negative integers, the nine `sim.*` kernel counters always
+//! present), identical runs must produce
 //! bit-identical snapshots, and fault-attributable counters must not
 //! depend on `--threads` (stream-progress and scheduler counters do:
 //! each worker replays the pattern stream on its fault slice, and
@@ -132,16 +132,6 @@ fn metrics_out_writes_a_valid_deterministic_snapshot() {
         counter(&counters, name);
     }
     assert!(counter(&counters, "sim.blocks") >= 1);
-    // The resolved SIMD backend is published as a gauge with a stable
-    // numeric code (0 scalar, 1 avx2, 2 avx512).
-    let doc = Json::parse(&first).unwrap();
-    let backend = doc.get("sim.backend").expect("sim.backend gauge present");
-    assert_eq!(backend.get("type").and_then(Json::as_str), Some("gauge"));
-    let code = backend
-        .get("value")
-        .and_then(Json::as_f64)
-        .expect("gauge value");
-    assert!((0.0..=2.0).contains(&code), "backend code 0..=2: {code}");
     // Sequential runs never steal.
     assert_eq!(counter(&counters, "sim.steals"), 0);
     assert_eq!(counter(&counters, "sim.steal_misses"), 0);

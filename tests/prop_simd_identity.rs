@@ -1,22 +1,21 @@
-//! Property tests pinning every SIMD backend and both parallel
-//! schedulers to the scalar sequential kernel, bit for bit.
+//! Property tests pinning the word-parallel fault-simulation kernels to
+//! their one-word form and the parallel scheduler to the sequential
+//! simulator, bit for bit.
 //!
-//! The scalar kernels are the oracle: whatever backend
-//! `BackendChoice::Auto` resolves to on the host (AVX-512, AVX2, or
-//! scalar itself on machines without either) must produce identical
+//! Every pattern is one bit lane of a 64-bit word, and a block carries
+//! W words per node. The W=1 kernel is the oracle: at W=2, 4 and 8 the
 //! first-detection indices, applied-pattern counts and per-fault
-//! detection counts at every block width, in both detection modes, and
-//! under both the work-stealing and the legacy round-robin scheduler.
-//! On a machine without SIMD these tests degenerate to scalar-vs-scalar
-//! and still pin scheduler and width invariance.
+//! detection counts must match it exactly, in both detection modes.
+//! The work-stealing scheduler must match the sequential run at every
+//! thread count.
 
 use proptest::prelude::*;
 
 use krishnamurthy_tpi::gen::dags::{random_dag, RandomDagConfig};
 use krishnamurthy_tpi::netlist::Circuit;
-use krishnamurthy_tpi::sim::parallel::{run_parallel_opts, run_parallel_round_robin};
+use krishnamurthy_tpi::sim::parallel::run_parallel_opts;
 use krishnamurthy_tpi::sim::{
-    BackendChoice, DetectionMode, FaultSimulator, FaultUniverse, RandomPatterns, SimOptions,
+    DetectionMode, FaultSimulator, FaultUniverse, RandomPatterns, SimOptions,
 };
 
 fn small_dag(seed: u64, inputs: usize, gates: usize) -> Circuit {
@@ -25,47 +24,47 @@ fn small_dag(seed: u64, inputs: usize, gates: usize) -> Circuit {
     random_dag(&cfg).unwrap()
 }
 
-fn opts(detection: DetectionMode, block_words: usize, backend: BackendChoice) -> SimOptions {
+fn opts(detection: DetectionMode, block_words: usize) -> SimOptions {
     SimOptions {
         block_words,
         detection,
-        backend,
+        ..SimOptions::default()
     }
 }
+
+const MODES: [DetectionMode; 2] = [DetectionMode::Explicit, DetectionMode::CriticalPathTracing];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Dropping runs: the auto-detected backend matches forced scalar on
-    /// first detections, applied patterns and coverage at every width,
-    /// in both detection modes.
+    /// Dropping runs: W=2, 4 and 8 match W=1 on first detections,
+    /// applied patterns and coverage, in both detection modes. 320
+    /// patterns end every width on a partly masked block.
     #[test]
-    fn backend_runs_are_bit_identical(seed in 0u64..5000, gates in 5usize..40) {
+    fn width_runs_are_bit_identical(seed in 0u64..5000, gates in 5usize..40) {
         let c = small_dag(seed, 6, gates);
         let universe = FaultUniverse::collapsed(&c).unwrap();
         let n_inputs = c.inputs().len();
-        for mode in [DetectionMode::Explicit, DetectionMode::CriticalPathTracing] {
-            for w in [1usize, 2, 4, 8] {
-                let mut results = Vec::new();
-                for backend in [BackendChoice::Scalar, BackendChoice::Auto] {
-                    let mut sim = FaultSimulator::with_options(
-                        &c, opts(mode, w, backend),
-                    ).unwrap();
-                    let mut src = RandomPatterns::new(n_inputs, seed ^ 0x51D);
-                    results.push(sim.run(&mut src, 320, universe.faults()).unwrap());
-                }
-                let (scalar, auto) = (&results[0], &results[1]);
+        for mode in MODES {
+            let run = |w: usize| {
+                let mut sim = FaultSimulator::with_options(&c, opts(mode, w)).unwrap();
+                let mut src = RandomPatterns::new(n_inputs, seed ^ 0x51D);
+                sim.run(&mut src, 320, universe.faults()).unwrap()
+            };
+            let reference = run(1);
+            for w in [2usize, 4, 8] {
+                let wide = run(w);
                 prop_assert_eq!(
-                    scalar.patterns_applied(), auto.patterns_applied(),
+                    reference.patterns_applied(), wide.patterns_applied(),
                     "patterns {:?} w={}", mode, w
                 );
                 prop_assert_eq!(
-                    scalar.coverage(), auto.coverage(),
+                    reference.coverage(), wide.coverage(),
                     "coverage {:?} w={}", mode, w
                 );
                 for i in 0..universe.len() {
                     prop_assert_eq!(
-                        scalar.first_detection(i), auto.first_detection(i),
+                        reference.first_detection(i), wide.first_detection(i),
                         "fault {} {:?} w={}", universe.faults()[i].describe(&c), mode, w
                     );
                 }
@@ -73,44 +72,39 @@ proptest! {
         }
     }
 
-    /// Counting runs (no dropping) on the uncollapsed universe: per-fault
-    /// detection counts match between scalar and the auto backend.
+    /// Counting runs (no dropping) on the uncollapsed universe: W=2, 4
+    /// and 8 match W=1 on per-fault detection counts and applied
+    /// patterns, in both detection modes.
     #[test]
-    fn backend_counts_are_bit_identical(seed in 0u64..5000, gates in 5usize..30) {
+    fn width_counts_are_bit_identical(seed in 0u64..5000, gates in 5usize..30) {
         let c = small_dag(seed, 5, gates);
         let universe = FaultUniverse::full(&c).unwrap();
         let n_inputs = c.inputs().len();
-        for mode in [DetectionMode::Explicit, DetectionMode::CriticalPathTracing] {
-            for w in [4usize, 8] {
-                let mut sim = FaultSimulator::with_options(
-                    &c, opts(mode, w, BackendChoice::Scalar),
-                ).unwrap();
+        for mode in MODES {
+            let count = |w: usize| {
+                let mut sim = FaultSimulator::with_options(&c, opts(mode, w)).unwrap();
                 let mut src = RandomPatterns::new(n_inputs, seed ^ 0xABCD);
-                let (counts_ref, n_ref) =
-                    sim.run_counting(&mut src, 256, universe.faults()).unwrap();
-                let mut sim = FaultSimulator::with_options(
-                    &c, opts(mode, w, BackendChoice::Auto),
-                ).unwrap();
-                let mut src = RandomPatterns::new(n_inputs, seed ^ 0xABCD);
-                let (counts, n) =
-                    sim.run_counting(&mut src, 256, universe.faults()).unwrap();
+                sim.run_counting(&mut src, 256, universe.faults()).unwrap()
+            };
+            let (counts_ref, n_ref) = count(1);
+            for w in [2usize, 4, 8] {
+                let (counts, n) = count(w);
                 prop_assert_eq!(n, n_ref, "{:?} w={}", mode, w);
-                prop_assert_eq!(counts, counts_ref, "{:?} w={}", mode, w);
+                prop_assert_eq!(&counts, &counts_ref, "{:?} w={}", mode, w);
             }
         }
     }
 
-    /// Scheduler invariance: the work-stealing scheduler, the legacy
-    /// static round-robin partitioner, and a repeated stealing run all
-    /// produce results bit-identical to the sequential simulator — fault
-    /// partitioning, stealing order and thread count must never leak into
-    /// detections.
+    /// Scheduler invariance: the work-stealing scheduler, run twice,
+    /// produces results bit-identical to the sequential simulator —
+    /// fault partitioning, stealing order and thread count must never
+    /// leak into detections.
     #[test]
     fn schedulers_are_bit_identical(seed in 0u64..5000, gates in 5usize..40) {
         let c = small_dag(seed, 6, gates);
         let universe = FaultUniverse::collapsed(&c).unwrap();
         let n_inputs = c.inputs().len();
-        let options = || opts(DetectionMode::CriticalPathTracing, 0, BackendChoice::Auto);
+        let options = || opts(DetectionMode::CriticalPathTracing, 0);
         let mut sim = FaultSimulator::with_options(&c, options()).unwrap();
         let mut src = RandomPatterns::new(n_inputs, seed ^ 0xBEEF);
         let reference = sim.run(&mut src, 320, universe.faults()).unwrap();
@@ -131,15 +125,7 @@ proptest! {
                 threads,
                 options(),
             ).unwrap();
-            let round_robin = run_parallel_round_robin(
-                &c,
-                || RandomPatterns::new(n_inputs, seed ^ 0xBEEF),
-                320,
-                universe.faults(),
-                threads,
-                options(),
-            ).unwrap();
-            for parallel in [&stealing, &again, &round_robin] {
+            for parallel in [&stealing, &again] {
                 prop_assert_eq!(
                     reference.patterns_applied(), parallel.patterns_applied(),
                     "patterns threads={}", threads
