@@ -9,9 +9,9 @@
 //!              [--method dp|greedy|constructive|constructive-baseline]
 //!              [--candidate-eval batched|legacy] [--score-threads N]
 //!              [--threads N] [--block-words auto|W] [--detection cpt|explicit]
-//!              [--deadline-ms MS]
-//!              [--max-points N] [--probe-width N] [--max-backtracks N]
-//!              [--out FILE] [--verilog FILE] [--metrics-out FILE]
+//!              [--deadline-ms MS] [--max-points N] [--probe-width N]
+//!              [--max-backtracks N] [--out FILE] [--verilog FILE]
+//!              [--metrics-out FILE]
 //! tpi atpg     <file.bench> [--patterns N] [--metrics-out FILE]
 //! tpi export   <file.bench> (--verilog FILE | --dot FILE)
 //! tpi batch    <manifest.json> [--out FILE] [--retries N] [--shard I/N]
@@ -25,9 +25,10 @@
 //! ```
 //!
 //! Netlists are ISCAS-85 `.bench` files; `DFF`s are treated as full-scan
-//! pseudo-ports. Every command refuses a `--flag` it does not read. `insert --method constructive` runs on the incremental
-//! [`TpiEngine`] session; `constructive-baseline` is the from-scratch
-//! loop it is benchmarked against.
+//! pseudo-ports. Every command refuses a `--flag` it does not read.
+//! `insert --method constructive` runs on the incremental [`TpiEngine`]
+//! session; `constructive-baseline` is the from-scratch loop it is
+//! benchmarked against.
 
 use std::process::ExitCode;
 
