@@ -5,7 +5,9 @@ use std::sync::Arc;
 use tpi_compaction::{
     CubeConfig, CubeSet, PatternsConfig, PatternsOptimizer, PatternsOutcome, PatternsRound,
 };
-use tpi_core::general::{extract_region, gather_candidates, ConstructiveOutcome, RoundReport};
+use tpi_core::general::{
+    extract_region, gather_candidates, ConstructiveOutcome, RegionExtraction, RoundReport,
+};
 use tpi_core::{
     CandidateEval, CostModel, DpConfig, DpOptimizer, Plan, TargetFault, Threshold, TpiError,
     TpiProblem,
@@ -13,7 +15,7 @@ use tpi_core::{
 use tpi_netlist::analysis::fanout_cone_mask;
 use tpi_netlist::ffr::FfrDecomposition;
 use tpi_netlist::transform::{apply_test_point, AppliedTestPoint};
-use tpi_netlist::{Circuit, NodeId, TestPoint, Topology};
+use tpi_netlist::{Circuit, NodeId, TestPoint, TestPointKind, Topology};
 use tpi_obs::{Counter, Histogram, Registry};
 use tpi_sim::{
     score_candidate_groups, BackendChoice, BaseDetections, DetectionMode, FaultSimResult,
@@ -99,6 +101,9 @@ pub struct EngineStats {
     pub memo_hits: u64,
     /// Region DP solutions computed and cached.
     pub memo_misses: u64,
+    /// Memo misses left unsolved because their region provably could not
+    /// enter the round's kept list.
+    pub region_dp_skipped: u64,
 }
 
 /// Live registry handles behind [`EngineStats`], plus the histograms the
@@ -114,6 +119,7 @@ struct EngineMetrics {
     faults_skipped: Arc<Counter>,
     memo_hits: Arc<Counter>,
     memo_misses: Arc<Counter>,
+    region_dp_skipped: Arc<Counter>,
     /// Dirty-cone size (faults re-simulated) per incremental pass.
     dirty_cone_faults: Arc<Histogram>,
     /// Wall clock of full measurement runs, microseconds.
@@ -122,6 +128,9 @@ struct EngineMetrics {
     incremental_sim_us: Arc<Histogram>,
     /// Candidate groups scored by the search referee.
     candidates_evaluated: Arc<Counter>,
+    /// Scored faults the batched referee's reach filter left out of
+    /// control/full candidate runs (summed over candidates).
+    faults_filtered: Arc<Counter>,
     /// Referee rounds (one `pick_by_simulation` call each).
     search_rounds: Arc<Counter>,
     /// Wall clock of one candidate group's evaluation, microseconds.
@@ -144,10 +153,12 @@ impl EngineMetrics {
             faults_skipped: registry.counter("engine.faults_skipped"),
             memo_hits: registry.counter("engine.memo_hits"),
             memo_misses: registry.counter("engine.memo_misses"),
+            region_dp_skipped: registry.counter("engine.region_dp_skipped"),
             dirty_cone_faults: registry.histogram("engine.dirty_cone_faults"),
             full_sim_us: registry.histogram("engine.full_sim_us"),
             incremental_sim_us: registry.histogram("engine.incremental_sim_us"),
             candidates_evaluated: registry.counter("search.candidates_evaluated"),
+            faults_filtered: registry.counter("search.faults_filtered"),
             search_rounds: registry.counter("search.rounds"),
             candidate_eval_us: registry.histogram("search.candidate_eval_us"),
             optimize_us: registry.histogram("engine.optimize_us"),
@@ -166,6 +177,7 @@ impl EngineMetrics {
             faults_skipped: self.faults_skipped.get(),
             memo_hits: self.memo_hits.get(),
             memo_misses: self.memo_misses.get(),
+            region_dp_skipped: self.region_dp_skipped.get(),
         }
     }
 }
@@ -892,8 +904,13 @@ impl TpiEngine {
     }
 
     /// Group the undetected faults per FFR, solve each region's DP
-    /// subproblem (through the memo) and return the candidate point
-    /// groups ranked by benefit per cost.
+    /// subproblem (through the memo) and return the `3 ×
+    /// regions_per_round` best candidate point groups by benefit per
+    /// cost, ties in root order.
+    ///
+    /// Every region is looked up in the memo first; the misses are then
+    /// solved in descending-benefit order only while they can still
+    /// enter that list (see [`keep_best_regions`]).
     fn plan_region_groups(
         &mut self,
         threshold: Threshold,
@@ -924,9 +941,12 @@ impl TpiEngine {
         let mut regions: Vec<(NodeId, Vec<TargetFault>)> = region_targets.into_iter().collect();
         regions.sort_by_key(|(root, _)| *root);
 
-        let dp = DpOptimizer::new(cfg.dp.clone());
-        let mut candidates: Vec<(Vec<TestPoint>, f64, f64)> = Vec::new();
-        for (root, targets) in &regions {
+        // Memo pass, in root order: hits become candidates at once, misses
+        // wait with everything their solve needs.
+        let mut known: Vec<RankedRegion<Vec<TestPoint>>> = Vec::new();
+        let mut misses: Vec<(usize, f64)> = Vec::new();
+        let mut pending: Vec<(RegionExtraction, Vec<TargetFault>, f64, u64)> = Vec::new();
+        for (slot, (root, targets)) in regions.iter().enumerate() {
             let benefit = targets.len() as f64;
             let Some(extraction) = extract_region(
                 &self.circuit,
@@ -951,51 +971,59 @@ impl TpiEngine {
             }
             let rho = analyses.cop.observability(*root).clamp(0.0, 1.0);
             let fp = region_fingerprint(&extraction, &sub_targets, rho, threshold);
-            let sub_points: Option<Vec<TestPoint>> = match self.memo.lookup(fp) {
+            match self.memo.lookup(fp) {
                 Some(cached) => {
                     self.metrics.memo_hits.inc();
-                    cached
+                    if let Some(item) = region_candidate(&extraction, cached, benefit, &costs) {
+                        known.push(RankedRegion { slot, item });
+                    }
                 }
                 None => {
-                    self.metrics.memo_misses.inc();
-                    let problem =
-                        TpiProblem::with_targets(&extraction.circuit, threshold, sub_targets)
-                            .with_input_probs(extraction.input_probs.clone());
-                    let timer = self.metrics.region_dp_us.start_timer();
-                    let result = dp.solve_region_controlled(&problem, rho, &self.control);
-                    timer.observe();
-                    let solved = match result {
-                        Ok((plan, _)) => {
-                            Some(plan.test_points().to_vec()).filter(|points| !points.is_empty())
-                        }
-                        // Propagate interruption without memoizing: the
-                        // subproblem was never solved.
-                        Err(TpiError::Interrupted { reason }) => {
-                            return Err(TpiError::Interrupted { reason });
-                        }
-                        Err(_) => None,
-                    };
-                    self.memo.insert(fp, solved.clone());
-                    solved
+                    misses.push((slot, benefit));
+                    pending.push((extraction, sub_targets, rho, fp));
                 }
-            };
-            let Some(sub_points) = sub_points else {
-                continue;
-            };
-            let mapped: Vec<TestPoint> = sub_points
-                .iter()
-                .map(|tp| TestPoint::new(extraction.to_parent[&tp.node], tp.kind))
-                .collect();
-            let cost = costs.total(&mapped);
-            let score = benefit / cost.max(1e-9);
-            candidates.push((mapped, cost, score));
+            }
         }
-        candidates.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite scores"));
-        candidates.truncate(cfg.regions_per_round.max(1) * 3);
-        Ok(candidates
-            .into_iter()
-            .map(|(points, _, _)| points)
-            .collect())
+        // A DP solve polls the token at its first step. Polling once
+        // before any miss is solved or skipped keeps a work-budget stop
+        // where solving every miss in root order put it.
+        if !misses.is_empty() {
+            if let Some(reason) = self.control.poll() {
+                return Err(TpiError::Interrupted { reason });
+            }
+        }
+
+        let dp = DpOptimizer::new(cfg.dp.clone());
+        let min_cost = TestPointKind::ALL
+            .iter()
+            .map(|&k| costs.of(k))
+            .fold(f64::INFINITY, f64::min);
+        let k = cfg.regions_per_round.max(1) * 3;
+        let (kept, skipped) = keep_best_regions(known, &misses, min_cost, k, |mi| {
+            let (extraction, sub_targets, rho, fp) = &pending[mi];
+            self.metrics.memo_misses.inc();
+            let problem =
+                TpiProblem::with_targets(&extraction.circuit, threshold, sub_targets.clone())
+                    .with_input_probs(extraction.input_probs.clone());
+            let timer = self.metrics.region_dp_us.start_timer();
+            let result = dp.solve_region_controlled(&problem, *rho, &self.control);
+            timer.observe();
+            let solved = match result {
+                Ok((plan, _)) => {
+                    Some(plan.test_points().to_vec()).filter(|points| !points.is_empty())
+                }
+                // Propagate interruption without memoizing: the
+                // subproblem was never solved.
+                Err(TpiError::Interrupted { reason }) => {
+                    return Err(TpiError::Interrupted { reason });
+                }
+                Err(_) => None,
+            };
+            self.memo.insert(*fp, solved.clone());
+            Ok(region_candidate(extraction, solved, misses[mi].1, &costs))
+        })?;
+        self.metrics.region_dp_skipped.add(skipped);
+        Ok(kept)
     }
 
     /// Score candidate groups by measured detections per cost — but on
@@ -1113,6 +1141,7 @@ impl TpiEngine {
             &self.control,
         )?;
         batch.counters.publish_to(&self.metrics.registry);
+        self.metrics.faults_filtered.add(batch.faults_filtered);
         for (group, score) in groups.iter().zip(&batch.scores) {
             if !group.is_empty() {
                 self.metrics.candidates_evaluated.inc();
@@ -1153,6 +1182,90 @@ fn fault_line(circuit: &Circuit, fault: tpi_sim::Fault) -> NodeId {
         FaultSite::Stem(node) => node,
         FaultSite::Branch { gate, pin } => circuit.fanins(gate)[pin as usize],
     }
+}
+
+/// A region's candidate group: its memoized or freshly solved plan
+/// (extracted-circuit ids) mapped to the parent circuit, with its cost
+/// and benefit-per-cost score. `None` when the region has no plan.
+fn region_candidate(
+    extraction: &RegionExtraction,
+    sub_points: Option<Vec<TestPoint>>,
+    benefit: f64,
+    costs: &CostModel,
+) -> Option<(f64, Vec<TestPoint>)> {
+    let mapped: Vec<TestPoint> = sub_points?
+        .iter()
+        .map(|tp| TestPoint::new(extraction.to_parent[&tp.node], tp.kind))
+        .collect();
+    let score = benefit / costs.total(&mapped).max(1e-9);
+    Some((score, mapped))
+}
+
+/// A candidate region: its position in root order and its scored group.
+struct RankedRegion<T> {
+    slot: usize,
+    item: (f64, T),
+}
+
+/// The `k` best regions by score, ties in root order (`slot`) — exactly
+/// what solving every region, stable-sorting by descending score and
+/// truncating would keep — while solving as few memo misses as possible.
+///
+/// `known` holds the regions whose plan is already at hand; `misses`
+/// holds `(slot, benefit)` of the rest, and `solve(i)` solves
+/// `misses[i]`, returning its `(score, group)` or `None` when the region
+/// has no plan. Misses are solved in descending-benefit order. A region's
+/// score is `benefit / cost` with `cost ≥ min_cost` (every plan holds at
+/// least one point), so `benefit / min_cost` bounds it. Once that bound
+/// falls strictly below the K-th best score found so far, the region and
+/// every later miss (whose benefit is no larger) score strictly below K
+/// candidates already found, and cannot be kept. Returns the kept groups
+/// and the number of misses left unsolved.
+fn keep_best_regions<T, E>(
+    mut ranked: Vec<RankedRegion<T>>,
+    misses: &[(usize, f64)],
+    min_cost: f64,
+    k: usize,
+    mut solve: impl FnMut(usize) -> Result<Option<(f64, T)>, E>,
+) -> Result<(Vec<T>, u64), E> {
+    // The best `k` scores so far, descending.
+    let mut top: Vec<f64> = Vec::new();
+    let note = |top: &mut Vec<f64>, score: f64| {
+        top.insert(top.partition_point(|&s| s >= score), score);
+        top.truncate(k);
+    };
+    for region in &ranked {
+        note(&mut top, region.item.0);
+    }
+    let mut order: Vec<usize> = (0..misses.len()).collect();
+    order.sort_by(|&a, &b| {
+        misses[b]
+            .1
+            .partial_cmp(&misses[a].1)
+            .expect("finite benefits")
+            .then(misses[a].0.cmp(&misses[b].0))
+    });
+    let mut skipped = 0u64;
+    for (n, &mi) in order.iter().enumerate() {
+        let (slot, benefit) = misses[mi];
+        if top.len() == k && benefit / min_cost.max(1e-9) < top[k - 1] {
+            skipped = (order.len() - n) as u64;
+            break;
+        }
+        if let Some(item) = solve(mi)? {
+            note(&mut top, item.0);
+            ranked.push(RankedRegion { slot, item });
+        }
+    }
+    ranked.sort_by(|a, b| {
+        b.item
+            .0
+            .partial_cmp(&a.item.0)
+            .expect("finite scores")
+            .then(a.slot.cmp(&b.slot))
+    });
+    ranked.truncate(k);
+    Ok((ranked.into_iter().map(|r| r.item.1).collect(), skipped))
 }
 
 /// Node-level dirtiness after an edit that appended nodes `old_nodes..`
@@ -1465,6 +1578,95 @@ mod tests {
         let outcome = eng.optimize_patterns(&PatternsConfig::default()).unwrap();
         assert!(outcome.interrupted.is_some());
         assert!(outcome.plan.is_empty());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The bounded top-K keeps exactly what solving every region,
+        /// stable-sorting by descending score and truncating keeps. Each
+        /// region is `(benefit, cost, memo hit)`; cost index 4 means the
+        /// region has no plan. Small ranges make equal scores, equal
+        /// benefits and lists shorter than K common.
+        #[test]
+        fn bounded_top_k_keeps_what_solving_everything_keeps(
+            regions in proptest::prop::collection::vec((1u32..5, 0usize..5, proptest::prelude::any::<bool>()), 0..30),
+            k in 1usize..12,
+        ) {
+            let costs = [0.5, 1.0, 1.5, 2.0];
+            let solve = |slot: usize| {
+                let (benefit, cost, _) = regions[slot];
+                costs.get(cost).map(|&c| (f64::from(benefit) / c, slot))
+            };
+            let mut everything: Vec<(f64, usize)> =
+                (0..regions.len()).filter_map(solve).collect();
+            everything.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap());
+            everything.truncate(k);
+            let expected: Vec<usize> = everything.iter().map(|&(_, slot)| slot).collect();
+
+            let known: Vec<RankedRegion<usize>> = (0..regions.len())
+                .filter(|&slot| regions[slot].2)
+                .filter_map(|slot| solve(slot).map(|item| RankedRegion { slot, item }))
+                .collect();
+            let misses: Vec<(usize, f64)> = (0..regions.len())
+                .filter(|&slot| !regions[slot].2)
+                .map(|slot| (slot, f64::from(regions[slot].0)))
+                .collect();
+            let mut solved = 0u64;
+            let (kept, skipped) = keep_best_regions(known, &misses, 0.5, k, |mi| {
+                solved += 1;
+                Ok::<_, ()>(solve(misses[mi].0))
+            })
+            .unwrap();
+            proptest::prop_assert_eq!(kept, expected);
+            proptest::prop_assert_eq!(solved + skipped, misses.len() as u64);
+        }
+    }
+
+    #[test]
+    fn skipped_region_solves_keep_the_budget_stop() {
+        // A DAG with more regions than a round keeps: solving every miss
+        // in root order would poll the token at the first miss's first
+        // DP step, so an exhausted budget must still stop the round when
+        // every remaining miss is skipped — and must not stop a round
+        // with no miss at all.
+        let c =
+            tpi_gen::dags::random_dag(&tpi_gen::dags::RandomDagConfig::new(24, 300, 5)).unwrap();
+        let mut eng = engine(c);
+        let undetected = eng.simulate().unwrap().undetected_indices();
+        let threshold = Threshold::from_log2(-10.0);
+        let cfg = OptimizeConfig::default();
+        let first = eng
+            .plan_region_groups(threshold, &cfg, &undetected)
+            .unwrap();
+        assert!(eng.stats().region_dp_skipped > 0, "{:?}", eng.stats());
+        eng.set_control(RunControl::with_budget(0));
+        match eng.plan_region_groups(threshold, &cfg, &undetected) {
+            Err(TpiError::Interrupted { reason }) => {
+                assert_eq!(reason, StopReason::BudgetExhausted)
+            }
+            other => panic!("skipped misses must poll the token: {other:?}"),
+        }
+
+        // Everything solved: the round replays from the memo untouched.
+        let all = OptimizeConfig {
+            regions_per_round: 100_000,
+            ..OptimizeConfig::default()
+        };
+        eng.set_control(RunControl::unlimited());
+        eng.plan_region_groups(threshold, &all, &undetected)
+            .unwrap();
+        let solves = eng.stats().memo_misses;
+        eng.set_control(RunControl::with_budget(0));
+        let replayed = eng
+            .plan_region_groups(threshold, &all, &undetected)
+            .unwrap();
+        assert_eq!(
+            eng.stats().memo_misses,
+            solves,
+            "no DP may run on a full memo"
+        );
+        assert_eq!(&replayed[..first.len()], &first[..]);
     }
 
     #[test]

@@ -13,13 +13,14 @@
 //! * [`SharedDpMemo`] — a sharded, lock-striped store many sessions (and
 //!   threads) share, so a region DP solved in one session replays in
 //!   every other. The fingerprint is content-addressed (structure,
-//!   quantized probabilities, targets, ρ, threshold — nothing
-//!   session-relative), which is what makes cross-session reuse sound:
-//!   equal keys imply byte-identical subproblems, and the DP being
-//!   deterministic implies equal values. Entries are immutable once
-//!   written, so there is no coherence protocol to get wrong — a stale
-//!   read is impossible and a lost race costs one redundant (identical)
-//!   compute.
+//!   the exact bits of every input probability and of ρ, targets,
+//!   threshold — nothing session-relative), which is what makes
+//!   cross-session reuse sound: byte-identical subproblems get equal
+//!   keys, and distinct ones collide only by a 64-bit hash collision.
+//!   The DP being deterministic then gives equal keys equal values.
+//!   Entries are immutable once written, so there is no coherence
+//!   protocol to get wrong — a stale read is impossible and a lost race
+//!   costs one redundant (identical) compute.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, RwLock};
@@ -33,8 +34,9 @@ use tpi_obs::{Counter, Gauge, Registry};
 ///
 /// Entries store test points in the *extracted* circuit's node ids; the
 /// caller maps them through the current extraction's `to_parent` table
-/// (valid because equal fingerprints imply identical extraction shapes,
-/// hence identical sub-circuit node numbering).
+/// (valid because equal fingerprints mean identical extraction shapes,
+/// hence identical sub-circuit node numbering, barring a 64-bit hash
+/// collision).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DpMemo {
     entries: HashMap<u64, Option<Vec<TestPoint>>>,
@@ -212,12 +214,13 @@ impl SharedDpMemo {
 }
 
 /// FNV-1a fingerprint of a region subproblem: extracted structure (gate
-/// kinds and local fanin wiring in sub-id order), quantized input
-/// probabilities, target faults, quantized root observability `ρ` and the
-/// threshold bits.
+/// kinds and local fanin wiring in sub-id order), input probabilities,
+/// target faults, root observability `ρ` and the threshold.
 ///
-/// Probabilities are quantized to 2^-20 so that COP noise below the DP's
-/// own discretisation cannot split otherwise-identical regions.
+/// Every `f64` is hashed by its exact bits. Quantizing them would let two
+/// different subproblems share a key, and the memo would then replay a
+/// plan solved from other inputs — which also makes a cached plan depend
+/// on which round happened to solve the key first.
 pub(crate) fn region_fingerprint(
     extraction: &RegionExtraction,
     targets: &[TargetFault],
@@ -226,7 +229,7 @@ pub(crate) fn region_fingerprint(
 ) -> u64 {
     let mut h = Fnv::new();
     h.word(threshold.value().to_bits());
-    h.word(quantize(rho));
+    h.word(rho.to_bits());
     let sub = &extraction.circuit;
     h.word(sub.node_count() as u64);
     for id in sub.node_ids() {
@@ -236,7 +239,7 @@ pub(crate) fn region_fingerprint(
         }
         h.word(u64::MAX); // fanin-list terminator
         if let Some(&p) = extraction.input_probs.get(&id) {
-            h.word(quantize(p));
+            h.word(p.to_bits());
         }
     }
     let mut sorted: Vec<(usize, bool)> =
@@ -247,10 +250,6 @@ pub(crate) fn region_fingerprint(
         h.word(u64::from(stuck));
     }
     h.finish()
-}
-
-fn quantize(p: f64) -> u64 {
-    (p.clamp(0.0, 1.0) * (1u64 << 20) as f64).round() as u64
 }
 
 struct Fnv(u64);
@@ -279,6 +278,7 @@ impl Fnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tpi_netlist::{CircuitBuilder, GateKind, NodeId};
 
     #[test]
     fn fnv_is_order_sensitive() {
@@ -291,10 +291,46 @@ mod tests {
         assert_ne!(a.finish(), b.finish());
     }
 
+    /// `y = AND(a, b)` with both inputs at probability ½.
+    fn and2() -> RegionExtraction {
+        let mut b = CircuitBuilder::new("r");
+        let xs = b.inputs(2, "x");
+        let y = b.gate(GateKind::And, xs.clone(), "y").unwrap();
+        b.output(y);
+        let circuit = b.finish().unwrap();
+        let ids: Vec<NodeId> = circuit.node_ids().collect();
+        RegionExtraction {
+            to_sub: ids.iter().map(|&id| (id, id)).collect(),
+            to_parent: ids.iter().map(|&id| (id, id)).collect(),
+            input_probs: xs.iter().map(|&x| (x, 0.5)).collect(),
+            circuit,
+        }
+    }
+
     #[test]
-    fn quantization_is_stable_under_tiny_noise() {
-        assert_eq!(quantize(0.5), quantize(0.5 + 1e-9));
-        assert_ne!(quantize(0.5), quantize(0.51));
+    fn keys_separate_probabilities_below_any_quantum() {
+        let region = and2();
+        let y = region.circuit.outputs()[0];
+        let targets = [TargetFault {
+            node: y,
+            stuck: false,
+        }];
+        let threshold = Threshold::from_log2(-8.0);
+        let key = |region: &RegionExtraction, rho: f64| {
+            region_fingerprint(region, &targets, rho, threshold)
+        };
+        let tiny = (-24f64).exp2();
+        let base = key(&region, 0.5);
+        assert_eq!(base, key(&and2(), 0.5), "equal subproblems share a key");
+        assert_ne!(base, key(&region, 0.5 + tiny), "ρ moved by 2⁻²⁴");
+        let mut nudged = and2();
+        let x0 = nudged.circuit.inputs()[0];
+        *nudged.input_probs.get_mut(&x0).unwrap() += tiny;
+        assert_ne!(
+            base,
+            key(&nudged, 0.5),
+            "one input probability moved by 2⁻²⁴"
+        );
     }
 
     #[test]

@@ -67,7 +67,24 @@
 //!   forcing lanes, compacted into dense pattern words (~half the
 //!   budget under the unbiased stream), and a full point re-simulates
 //!   only the faults *not* present at the site (those are detected
-//!   via the tap regardless of the cut), with dropping.
+//!   via the tap regardless of the cut), with dropping;
+//! * every control/full run — merged or solo — simulates only the
+//!   faults that can detect differently. A point at `v` changes values
+//!   only in `FO⁺(v)`, the nodes strictly downstream of `v`, and a
+//!   fault's effect can only enter `FO⁺(v)` through the cut set
+//!   `S(v) = ({v} ∪ fanins of FO⁺(v)) \ FO⁺(v)`. So the presence pass
+//!   also records, per (fault, site), whether the effect reaches
+//!   `S(v) \ {v}`; with the presence bit at `v` that covers `S(v)`. A
+//!   fault anchored outside `FO⁺(v)` whose effect never reaches `S(v)`
+//!   sees good values and a faulty cone that are identical to the base
+//!   circuit's on every lane (induction in topological order: outside
+//!   `FO⁺(v)` the fanins are unchanged; inside, every fanin either lies
+//!   in `FO⁺(v)` or in `S(v)`, and neither carries its effect), so it
+//!   keeps its base detection bits. A full point drops `v` from the
+//!   set: a fault reaching `v` is tap-detected whatever the cut does.
+//!   The filtered faults still count towards the run's block schedule
+//!   under a work budget (see `charge_held_blocks`), so the token is
+//!   polled and charged exactly as by an unfiltered run.
 //!
 //! Multi-point groups (and any group the augmented build cannot cover)
 //! fall back to the legacy path: clone, apply, compile, and re-simulate
@@ -105,7 +122,7 @@ use tpi_netlist::{Circuit, NetlistError, NodeId, TestPoint, TestPointKind, Topol
 use crate::compile::MAX_BLOCK_WORDS;
 use crate::control::{RunControl, StopReason};
 use crate::fault::{Fault, FaultSite};
-use crate::fsim::{FaultSimulator, SimOptions};
+use crate::fsim::{first_lane, FaultSimulator, SimOptions};
 use crate::metrics::SimCounters;
 use crate::patterns::{IndependentPatterns, PatternSource};
 
@@ -147,6 +164,11 @@ pub struct BatchScores {
     pub stopped: Option<StopReason>,
     /// Kernel counters merged over the base run and every group run.
     pub counters: SimCounters,
+    /// Scored faults the reach filter left out of control/full runs,
+    /// summed over the candidates those runs scored (a merged run counts
+    /// once per candidate reading it, so the sum does not depend on the
+    /// schedule).
+    pub faults_filtered: u64,
 }
 
 /// Check that applying every point of `group`, in order, to `circuit`
@@ -334,25 +356,66 @@ struct FastPrep {
     /// [`compute_presence`](FastPrep::compute_presence) fills it
     /// (skipped when the batch holds no observe or full candidate).
     presence: Vec<u64>,
+    /// Per-(fault, site) reach matrix, laid out like `presence`: bit
+    /// `si` of row `fi` is set iff fault `fi`'s effect reaches a side
+    /// input of site `si` (see `side`) on some lane within the pattern
+    /// budget. Filled by the same pass as `presence`.
+    reach: Vec<u64>,
+    /// Per-(base node, site) membership in `FO⁺(v)`, the nodes strictly
+    /// downstream of site `si`'s node `v`: bit `si` of row `u`. Rows are
+    /// `site_words` wide; only sites hosting a control or full
+    /// candidate are filled.
+    cone: Vec<u64>,
+    /// Per-(base node, site) side inputs, laid out like `cone`: bit `si`
+    /// of row `u` is set iff `u ≠ v`, `u ∉ FO⁺(v)` and `u` feeds a node
+    /// of `FO⁺(v)` — the cut set `S(v)` minus `v` itself.
+    side: Vec<u64>,
     /// Presence row width: `sites.len().div_ceil(64)`.
     site_words: usize,
 }
 
 impl FastPrep {
+    /// Bit `si` of row `row` in a `site_words`-wide matrix.
+    fn bit(&self, matrix: &[u64], row: usize, si: usize) -> bool {
+        (matrix[row * self.site_words + (si >> 6)] >> (si & 63)) & 1 == 1
+    }
+
     /// Presence bit for fault row `fi`, site column `si`.
     fn present(&self, fi: usize, si: usize) -> bool {
         debug_assert!(!self.presence.is_empty(), "presence pass not run");
-        (self.presence[fi * self.site_words + (si >> 6)] >> (si & 63)) & 1 == 1
+        self.bit(&self.presence, fi, si)
     }
 
-    /// Fill the presence matrix: one explicit-propagation pass over the
-    /// augmented circuit under the passthrough stimulus (≡ the base
-    /// circuit bit-exactly) recording, per scored fault, every
-    /// candidate site its effect reaches. This single pass scores all
-    /// observe candidates outright and supplies the full point's tap
-    /// term (see module docs). Runs in block-sized chunks so `control`
-    /// is polled and charged at the same granularity as a simulation
-    /// run; on a stop the partial matrix is discarded.
+    /// Whether fault `fi` can detect differently once site `si` carries
+    /// a control point (`through_site`) or a full point: it sits inside
+    /// `FO⁺(v)`, or its effect reaches the cut set — `v` itself counts
+    /// for a control point only (see module docs). Without a presence
+    /// pass (a controls-only batch) every fault can.
+    fn may_change(&self, fi: usize, fault: Fault, si: usize, through_site: bool) -> bool {
+        if self.presence.is_empty() {
+            return true;
+        }
+        // The node the fault's effect first appears on: its stem, or
+        // the gate whose input pin it sits on.
+        let origin = match fault.site {
+            FaultSite::Stem(node) => node,
+            FaultSite::Branch { gate, .. } => gate,
+        };
+        self.bit(&self.cone, origin.index(), si)
+            || self.bit(&self.reach, fi, si)
+            || (through_site && self.present(fi, si))
+    }
+
+    /// Fill the presence and reach matrices: one explicit-propagation
+    /// pass over the augmented circuit under the passthrough stimulus
+    /// (≡ the base circuit bit-exactly) recording, per scored fault,
+    /// every candidate site its effect reaches and every site whose
+    /// side inputs it reaches. This single pass scores all observe
+    /// candidates outright, supplies the full point's tap term and
+    /// filters every control/full run (see module docs). Runs in
+    /// block-sized chunks so `control` is polled and charged at the same
+    /// granularity as a simulation run; on a stop the partial matrices
+    /// are discarded.
     fn compute_presence(
         &mut self,
         base: &Circuit,
@@ -366,6 +429,8 @@ impl FastPrep {
             site_of[v.index()] = lines.si as u32;
         }
         let mut presence = vec![0u64; faults.len() * row_words];
+        let mut reach = vec![0u64; faults.len() * row_words];
+        let side = &self.side;
         let mut src = PackedSource {
             streams: self.passthrough.clone(),
             patterns,
@@ -384,9 +449,17 @@ impl FastPrep {
                 .sim
                 .run_visiting(&mut src, chunk, faults, |fi, node, _| {
                     let i = node.index();
-                    if i < site_of.len() && site_of[i] != u32::MAX {
+                    if i >= site_of.len() {
+                        return; // instrumentation node of the augmented circuit
+                    }
+                    let row = fi * row_words;
+                    if site_of[i] != u32::MAX {
                         let si = site_of[i] as usize;
-                        presence[fi * row_words + (si >> 6)] |= 1u64 << (si & 63);
+                        presence[row + (si >> 6)] |= 1u64 << (si & 63);
+                    }
+                    let sides = &side[i * row_words..(i + 1) * row_words];
+                    for (r, &s) in reach[row..row + row_words].iter_mut().zip(sides) {
+                        *r |= s;
                     }
                 })?;
             if n == 0 {
@@ -397,6 +470,7 @@ impl FastPrep {
         }
         if stopped.is_none() {
             self.presence = presence;
+            self.reach = reach;
         }
         Ok((stopped, self.sim.counters().since(&before)))
     }
@@ -464,6 +538,7 @@ fn build_fast_prep(
         }
     }
     let site_words = site_list.len().div_ceil(64);
+    let (cone, side) = cut_sets(base, topo, groups, valid, &site_list, site_words);
     Some(FastPrep {
         sim,
         sites,
@@ -471,23 +546,154 @@ fn build_fast_prep(
         n_base_inputs,
         pattern_words,
         presence: Vec::new(),
+        reach: Vec::new(),
+        cone,
+        side,
         site_words,
     })
+}
+
+/// The `cone` and `side` matrices of [`FastPrep`] for every site in
+/// `site_list` that hosts a valid single-point control or full group.
+fn cut_sets(
+    base: &Circuit,
+    topo: &Topology,
+    groups: &[Vec<TestPoint>],
+    valid: &[bool],
+    site_list: &[NodeId],
+    site_words: usize,
+) -> (Vec<u64>, Vec<u64>) {
+    let n = base.node_count();
+    let mut cone = vec![0u64; n * site_words];
+    let mut side = vec![0u64; n * site_words];
+    let mut cut_sites: Vec<usize> = groups
+        .iter()
+        .zip(valid)
+        .filter(|&(g, &ok)| ok && g.len() == 1 && g[0].kind != TestPointKind::Observe)
+        .filter_map(|(g, _)| site_list.binary_search(&g[0].node).ok())
+        .collect();
+    cut_sites.sort_unstable();
+    cut_sites.dedup();
+    for si in cut_sites {
+        let v = site_list[si];
+        let consumers: Vec<NodeId> = topo.fanouts(v).iter().map(|fo| fo.gate).collect();
+        let in_cone = fanout_cone_mask(base, topo, &consumers);
+        let (word, bit) = (si >> 6, 1u64 << (si & 63));
+        for u in base.node_ids().filter(|u| in_cone[u.index()]) {
+            cone[u.index() * site_words + word] |= bit;
+            for &f in base.fanins(u) {
+                if f != v && !in_cone[f.index()] {
+                    side[f.index() * site_words + word] |= bit;
+                }
+            }
+        }
+    }
+    (cone, side)
 }
 
 struct GroupEval {
     detected: Option<u64>,
     stopped: Option<StopReason>,
     counters: SimCounters,
+    /// Faults the reach filter left out of this candidate's run.
+    filtered: u64,
+}
+
+impl GroupEval {
+    fn done(detected: u64, counters: SimCounters, filtered: u64) -> GroupEval {
+        GroupEval {
+            detected: Some(detected),
+            stopped: None,
+            counters,
+            filtered,
+        }
+    }
+
+    fn stopped(reason: StopReason, counters: SimCounters) -> GroupEval {
+        GroupEval {
+            detected: None,
+            stopped: Some(reason),
+            counters,
+            filtered: 0,
+        }
+    }
 }
 
 /// A schedule lane's cache of its most recent merged forcing run:
-/// `(site, per-fault detection words)`. Candidate kinds of one site
-/// typically arrive adjacently in a batch, so a depth-1 cache captures
-/// the sharing while bounding memory at one site's bitmaps per worker
-/// (an unbounded map would hold `sites × faults × words` on the
-/// optimizers' full-circuit sweeps).
-type MergedMemo = Option<(NodeId, Vec<Vec<u64>>)>;
+/// `(site, per-fault detection words)`, `None` for a fault the reach
+/// filter left out of the run (its words are its base bitmap). Candidate
+/// kinds of one site typically arrive adjacently in a batch, so a
+/// depth-1 cache captures the sharing while bounding memory at one
+/// site's bitmaps per worker (an unbounded map would hold `sites ×
+/// faults × words` on the optimizers' full-circuit sweeps).
+type MergedMemo = Option<(NodeId, Vec<Option<Vec<u64>>>)>;
+
+/// Finish the block schedule that a dropping run over the unfiltered
+/// fault list would have followed, after the filtered run executed
+/// `blocks` blocks of `block_lanes` lanes.
+///
+/// The unfiltered run simulates one more block while any of its faults
+/// is undetected at the block's start. A filtered fault's detections are
+/// its base ones, so `hold` — the last lane at which one of them is
+/// still undetected, `u64::MAX` if one never is — fixes how long it
+/// runs. The remaining blocks poll and charge `control` exactly as that
+/// run would, without simulating anything, so a work budget stops the
+/// search at the same point with or without the filter.
+fn charge_held_blocks(
+    blocks: u64,
+    block_lanes: u64,
+    patterns: u64,
+    hold: Option<u64>,
+    control: &RunControl,
+    counters: &mut SimCounters,
+) -> Option<StopReason> {
+    let hold = hold?;
+    let mut base = blocks * block_lanes;
+    while base < patterns && base <= hold {
+        counters.polls += 1;
+        if let Some(reason) = control.poll() {
+            return Some(reason);
+        }
+        let lanes = block_lanes.min(patterns - base);
+        control.charge(lanes);
+        base += lanes;
+    }
+    None
+}
+
+/// Run `run_faults` with dropping on `prep`'s simulator (cloned into
+/// `fast_sim` on first use), then finish the unfiltered run's block
+/// schedule for the filtered faults (see [`charge_held_blocks`]).
+/// Returns the run's detections, or the stop reason.
+#[allow(clippy::too_many_arguments)]
+fn run_dropping(
+    prep: &FastPrep,
+    fast_sim: &mut Option<FaultSimulator>,
+    src: &mut PackedSource,
+    run_faults: &[Fault],
+    hold: Option<u64>,
+    control: &RunControl,
+    counters: &mut SimCounters,
+) -> Result<Result<u64, StopReason>, NetlistError> {
+    let sim = fast_sim.get_or_insert_with(|| prep.sim.clone());
+    let block_lanes = 64 * sim.block_words() as u64;
+    let patterns = src.patterns;
+    let mut detected = 0;
+    let mut blocks = 0;
+    if !run_faults.is_empty() {
+        let run = sim.run_controlled(src, patterns, run_faults, control)?;
+        counters.merge(&run.counters);
+        if let Some(reason) = run.stopped {
+            return Ok(Err(reason));
+        }
+        detected = run.result.detected_count() as u64;
+        blocks = run.counters.blocks;
+    }
+    match charge_held_blocks(blocks, block_lanes, patterns, hold, control, counters) {
+        Some(reason) => Ok(Err(reason)),
+        None => Ok(Ok(detected)),
+    }
+}
 
 /// Score one valid single-point candidate from the batch-shared passes
 /// (the per-kind formulas and their soundness arguments are laid out in
@@ -498,7 +704,8 @@ type MergedMemo = Option<(NodeId, Vec<Vec<u64>>)>;
 /// candidate instead takes the narrower run its kind permits — forcing
 /// lanes only for a control point, non-present faults with dropping
 /// for a full point — which costs less than a merged run nobody else
-/// will read.
+/// will read. Every run leaves out the faults the reach filter proves
+/// unchanged; they keep their base detections.
 #[allow(clippy::too_many_arguments)]
 fn eval_fast(
     prep: &FastPrep,
@@ -516,6 +723,7 @@ fn eval_fast(
 ) -> Result<GroupEval, NetlistError> {
     let mut counters = SimCounters::default();
     let pw = prep.pattern_words;
+    let si = lines.si;
     let in_base = |fi: usize| base_maps.is_some_and(|m| m[fi].iter().any(|&w| w != 0));
     if tp.kind == TestPointKind::Observe {
         let pre = (0..faults.len()).filter(|&fi| in_base(fi)).count() as u64;
@@ -525,14 +733,10 @@ fn eval_fast(
             pre
         } else {
             pre + (0..faults.len())
-                .filter(|&fi| !in_base(fi) && prep.present(fi, lines.si))
+                .filter(|&fi| !in_base(fi) && prep.present(fi, si))
                 .count() as u64
         };
-        return Ok(GroupEval {
-            detected: Some(detected),
-            stopped: None,
-            counters,
-        });
+        return Ok(GroupEval::done(detected, counters, 0));
     }
     let a = lines.a.expect("validated control/full site has a mux");
     let b = lines.b.expect("validated control/full site has a mux");
@@ -540,8 +744,17 @@ fn eval_fast(
     let r: Vec<u64> = (0..pw)
         .map(|w| IndependentPatterns::word(seed, aux, w as u64))
         .collect();
+    // The last lane at which a filtered fault is still undetected, from
+    // its base detections in the run's own lane numbering.
+    let mut hold: Option<u64> = None;
+    let mut note_held = |death: Option<u64>| {
+        hold = Some(hold.unwrap_or(0).max(death.unwrap_or(u64::MAX)));
+    };
     if !shared {
-        return match tp.kind {
+        let mut pre = 0u64;
+        let mut filtered = 0u64;
+        let mut run_faults: Vec<Fault> = Vec::new();
+        let mut src = match tp.kind {
             TestPointKind::Observe => unreachable!("handled above"),
             TestPointKind::ControlAnd | TestPointKind::ControlOr => {
                 let forcing_and = tp.kind == TestPointKind::ControlAnd;
@@ -561,26 +774,28 @@ fn eval_fast(
                         }
                     })
                     .collect();
-                let mut pre = 0u64;
-                let mut run_faults: Vec<Fault> = Vec::new();
+                let m: u64 = sel.iter().map(|w| u64::from(w.count_ones())).sum();
+                let out_words = m.div_ceil(64) as usize;
                 for (fi, &f) in faults.iter().enumerate() {
                     let transparent_hit = base_maps
                         .is_some_and(|m| m[fi].iter().zip(&sel).any(|(&d, &s)| d & !s != 0));
                     if transparent_hit {
                         pre += 1;
+                    } else if m > 0 && !prep.may_change(fi, f, si, true) {
+                        // Base detections, all on forcing lanes: read
+                        // them off in the compacted lane numbering.
+                        let held = base_maps.map(|maps| compact_words(&maps[fi], &sel, out_words));
+                        let death = held.as_deref().and_then(first_lane);
+                        pre += u64::from(death.is_some());
+                        note_held(death);
+                        filtered += 1;
                     } else {
                         run_faults.push(f);
                     }
                 }
-                let m: u64 = sel.iter().map(|w| u64::from(w.count_ones())).sum();
-                if m == 0 || run_faults.is_empty() {
-                    return Ok(GroupEval {
-                        detected: Some(pre),
-                        stopped: None,
-                        counters,
-                    });
+                if m == 0 {
+                    return Ok(GroupEval::done(pre, counters, filtered));
                 }
-                let out_words = m.div_ceil(64) as usize;
                 let mut streams: Vec<Vec<u64>> = prep
                     .passthrough
                     .iter()
@@ -591,73 +806,69 @@ fn eval_fast(
                 } else {
                     streams[b] = vec![!0u64; out_words];
                 }
-                let mut src = PackedSource {
+                PackedSource {
                     streams,
                     patterns: m,
                     word: 0,
-                };
-                let sim = fast_sim.get_or_insert_with(|| prep.sim.clone());
-                let run = sim.run_controlled(&mut src, m, &run_faults, control)?;
-                counters.merge(&run.counters);
-                if let Some(reason) = run.stopped {
-                    return Ok(GroupEval {
-                        detected: None,
-                        stopped: Some(reason),
-                        counters,
-                    });
                 }
-                Ok(GroupEval {
-                    detected: Some(pre + run.result.detected_count() as u64),
-                    stopped: None,
-                    counters,
-                })
             }
             TestPointKind::Full => {
                 // Faults already present at the site are detected via
-                // the tap no matter what the cut does; only the rest
-                // need the cut circuit simulated (with dropping — the
-                // per-lane split of the merged run is not needed here).
-                let run_faults: Vec<Fault> = faults
-                    .iter()
-                    .enumerate()
-                    .filter(|&(fi, _)| !prep.present(fi, lines.si))
-                    .map(|(_, &f)| f)
-                    .collect();
-                let pre = (faults.len() - run_faults.len()) as u64;
-                if run_faults.is_empty() {
-                    return Ok(GroupEval {
-                        detected: Some(pre),
-                        stopped: None,
-                        counters,
-                    });
+                // the tap no matter what the cut does; of the rest, only
+                // those the cut can change need the cut circuit
+                // simulated (with dropping — the per-lane split of the
+                // merged run is not needed here).
+                for (fi, &f) in faults.iter().enumerate() {
+                    if prep.present(fi, si) {
+                        pre += 1;
+                    } else if !prep.may_change(fi, f, si, false) {
+                        let death = base_maps.and_then(|maps| first_lane(&maps[fi]));
+                        pre += u64::from(death.is_some());
+                        note_held(death);
+                        filtered += 1;
+                    } else {
+                        run_faults.push(f);
+                    }
                 }
                 let mut streams = prep.passthrough.clone();
                 streams[a] = vec![0u64; pw];
                 streams[b] = r.clone();
-                let mut src = PackedSource {
+                PackedSource {
                     streams,
                     patterns,
                     word: 0,
-                };
-                let sim = fast_sim.get_or_insert_with(|| prep.sim.clone());
-                let run = sim.run_controlled(&mut src, patterns, &run_faults, control)?;
-                counters.merge(&run.counters);
-                if let Some(reason) = run.stopped {
-                    return Ok(GroupEval {
-                        detected: None,
-                        stopped: Some(reason),
-                        counters,
-                    });
                 }
-                Ok(GroupEval {
-                    detected: Some(pre + run.result.detected_count() as u64),
-                    stopped: None,
-                    counters,
-                })
             }
         };
+        if run_faults.is_empty() && filtered == 0 {
+            return Ok(GroupEval::done(pre, counters, filtered));
+        }
+        let run = run_dropping(
+            prep,
+            fast_sim,
+            &mut src,
+            &run_faults,
+            hold,
+            control,
+            &mut counters,
+        )?;
+        return Ok(match run {
+            Ok(detected) => GroupEval::done(pre + detected, counters, filtered),
+            Err(reason) => GroupEval::stopped(reason, counters),
+        });
     }
     if memo.as_ref().map(|(v, _)| *v) != Some(tp.node) {
+        let keep: Vec<bool> = faults
+            .iter()
+            .enumerate()
+            .map(|(fi, &f)| prep.may_change(fi, f, si, true))
+            .collect();
+        let run_faults: Vec<Fault> = faults
+            .iter()
+            .zip(&keep)
+            .filter(|&(_, &k)| k)
+            .map(|(&f, _)| f)
+            .collect();
         let mut streams = prep.passthrough.clone();
         streams[a] = r.clone();
         streams[b] = r.clone();
@@ -666,19 +877,31 @@ fn eval_fast(
             patterns,
             word: 0,
         };
+        // Runs even when every fault is filtered: a bitmap run polls and
+        // charges every block regardless of its fault list.
         let sim = fast_sim.get_or_insert_with(|| prep.sim.clone());
-        let run = sim.run_bitmaps(&mut src, patterns, faults, control)?;
+        let run = sim.run_bitmaps(&mut src, patterns, &run_faults, control)?;
         counters.merge(&run.counters);
         if let Some(reason) = run.stopped {
-            return Ok(GroupEval {
-                detected: None,
-                stopped: Some(reason),
-                counters,
-            });
+            return Ok(GroupEval::stopped(reason, counters));
         }
-        *memo = Some((tp.node, run.maps));
+        let mut maps = run.maps.into_iter();
+        let rows = keep
+            .iter()
+            .map(|&k| if k { maps.next() } else { None })
+            .collect();
+        *memo = Some((tp.node, rows));
     }
-    let bits = &memo.as_ref().expect("merged run just cached").1;
+    let rows = &memo.as_ref().expect("merged run just cached").1;
+    let filtered = rows.iter().filter(|row| row.is_none()).count() as u64;
+    // A filtered fault's merged words are its base bitmap (empty when
+    // the base detects nothing).
+    let words = |fi: usize| -> &[u64] {
+        rows[fi]
+            .as_deref()
+            .or_else(|| base_maps.map(|m| m[fi].as_slice()))
+            .unwrap_or(&[])
+    };
     // The merged detection words are lane-masked to the pattern budget,
     // so `∧ r` needs no tail mask; the base bitmaps likewise.
     let detected = match tp.kind {
@@ -688,11 +911,9 @@ fn eval_fast(
             let on = |word: u64, rw: u64, forcing: bool| {
                 word & if forcing == forcing_and { !rw } else { rw }
             };
-            faults
-                .iter()
-                .enumerate()
-                .filter(|&(fi, _)| {
-                    bits[fi]
+            (0..faults.len())
+                .filter(|&fi| {
+                    words(fi)
                         .iter()
                         .zip(&r)
                         .any(|(&d, &rw)| on(d, rw, true) != 0)
@@ -703,14 +924,10 @@ fn eval_fast(
                 .count() as u64
         }
         TestPointKind::Full => (0..faults.len())
-            .filter(|&fi| bits[fi].iter().any(|&d| d != 0) || prep.present(fi, lines.si))
+            .filter(|&fi| words(fi).iter().any(|&d| d != 0) || prep.present(fi, si))
             .count() as u64,
     };
-    Ok(GroupEval {
-        detected: Some(detected),
-        stopped: None,
-        counters,
-    })
+    Ok(GroupEval::done(detected, counters, filtered))
 }
 
 /// Score every candidate group by faults detected within `patterns`
@@ -760,6 +977,7 @@ pub fn score_candidate_groups(
                     scores,
                     stopped: Some(reason),
                     counters,
+                    faults_filtered: 0,
                 });
             }
             Some(run.maps)
@@ -771,8 +989,9 @@ pub fn score_candidate_groups(
 
     let mut fast = build_fast_prep(base, &topo, groups, &valid, patterns, seed, options);
     if let Some(prep) = &mut fast {
-        // The presence pass is only read by observe and full
-        // candidates; a controls-only batch skips it.
+        // The presence pass scores observe and full candidates and
+        // filters every control/full run; a controls-only batch skips it
+        // and runs its controls unfiltered.
         let needed = groups.iter().zip(&valid).any(|(g, &ok)| {
             ok && g.len() == 1 && matches!(g[0].kind, TestPointKind::Observe | TestPointKind::Full)
         });
@@ -784,6 +1003,7 @@ pub fn score_candidate_groups(
                     scores,
                     stopped: reason,
                     counters,
+                    faults_filtered: 0,
                 });
             }
         }
@@ -808,6 +1028,7 @@ pub fn score_candidate_groups(
                 detected: None,
                 stopped: None,
                 counters,
+                filtered: 0,
             })
         };
         if !valid[gi] {
@@ -836,28 +1057,20 @@ pub fn score_candidate_groups(
             }
         }
         if dirty_faults.is_empty() {
-            return Ok(GroupEval {
-                detected: Some(clean_detected),
-                stopped: None,
-                counters,
-            });
+            return Ok(GroupEval::done(clean_detected, counters, 0));
         }
         let mut sim = FaultSimulator::with_options(&scratch, options)?;
         let mut src = IndependentPatterns::new(scratch.inputs().len(), seed);
         let run = sim.run_controlled(&mut src, patterns, &dirty_faults, control)?;
         counters.merge(&run.counters);
         if let Some(reason) = run.stopped {
-            return Ok(GroupEval {
-                detected: None,
-                stopped: Some(reason),
-                counters,
-            });
+            return Ok(GroupEval::stopped(reason, counters));
         }
-        Ok(GroupEval {
-            detected: Some(run.result.detected_count() as u64 + clean_detected),
-            stopped: None,
+        Ok(GroupEval::done(
+            run.result.detected_count() as u64 + clean_detected,
             counters,
-        })
+            0,
+        ))
     };
 
     // Fast path for valid single-point groups; everything else takes
@@ -896,6 +1109,7 @@ pub fn score_candidate_groups(
     };
 
     let mut stopped: Option<StopReason> = None;
+    let mut faults_filtered = 0u64;
     let threads = threads.max(1).min(groups.len().max(1));
     if threads == 1 {
         let mut fast_sim: Option<FaultSimulator> = None;
@@ -904,6 +1118,7 @@ pub fn score_candidate_groups(
             let start = Instant::now();
             let eval = eval_any(gi, &mut fast_sim, &mut memo)?;
             counters.merge(&eval.counters);
+            faults_filtered += eval.filtered;
             *slot = GroupScore {
                 detected: eval.detected,
                 eval_us: start.elapsed().as_micros() as u64,
@@ -952,6 +1167,7 @@ pub fn score_candidate_groups(
         for (gi, eval, us) in results {
             let eval = eval?;
             counters.merge(&eval.counters);
+            faults_filtered += eval.filtered;
             scores[gi] = GroupScore {
                 detected: eval.detected,
                 eval_us: us,
@@ -966,6 +1182,7 @@ pub fn score_candidate_groups(
         scores,
         stopped,
         counters,
+        faults_filtered,
     })
 }
 
@@ -1160,6 +1377,226 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// One circuit holding the structures the cut-set argument has to
+    /// get right: constant nets, a gate reading one net twice, an
+    /// XOR/XNOR chain, an 8-input NAND, and sites that are primary
+    /// outputs and also feed gates.
+    fn awkward() -> Circuit {
+        let mut b = CircuitBuilder::new("awkward");
+        let xs = b.inputs(9, "x");
+        let zero = b.constant(false, "zero").unwrap();
+        let one = b.constant(true, "one").unwrap();
+        let twice = b.gate(GateKind::Nand, vec![xs[0], xs[0]], "twice").unwrap();
+        let gated = b.gate(GateKind::And, vec![zero, xs[1]], "gated").unwrap();
+        let held = b.gate(GateKind::Nor, vec![one, xs[2]], "held").unwrap();
+        let xa = b.gate(GateKind::Xor, vec![twice, xs[3]], "xa").unwrap();
+        let xb = b
+            .gate(GateKind::Xnor, vec![xa, gated, xs[4]], "xb")
+            .unwrap();
+        let xc = b.gate(GateKind::Xor, vec![xb, held], "xc").unwrap();
+        let wide_fanins = vec![xs[1], xs[2], xs[3], xs[5], xs[6], xs[7], xs[8], xc];
+        let wide = b.gate(GateKind::Nand, wide_fanins, "wide").unwrap();
+        let tail = b
+            .gate(GateKind::And, vec![wide, xb, twice], "tail")
+            .unwrap();
+        b.output(twice);
+        b.output(xb);
+        b.output(tail);
+        b.finish().unwrap()
+    }
+
+    /// Score every node × kind of `c` against a full re-simulation of
+    /// the candidate circuit: once in one batch where every site hosts
+    /// all four kinds (merged forcing runs), and once spread over four
+    /// batches with one kind per site (solo runs), under both base
+    /// modes, at one thread and (for the merged batch and one solo
+    /// batch) at two. `AssumeUndetected` scores the faults the scoring
+    /// stream leaves undetected; `Simulate` scores those another stream
+    /// leaves undetected (the from-scratch optimizer's situation), so
+    /// some of them are base-detected. Returns the faults the reach
+    /// filter kept out of runs.
+    fn assert_every_candidate_matches(c: &Circuit, patterns: u64, seed: u64) -> u64 {
+        let universe = FaultUniverse::collapsed(c).unwrap();
+        let detected_under = |circuit: &Circuit, seed: u64, faults: &[Fault]| -> Vec<bool> {
+            let mut sim = FaultSimulator::new(circuit).unwrap();
+            let mut src = IndependentPatterns::new(circuit.inputs().len(), seed);
+            let run = sim.run(&mut src, patterns, faults).unwrap();
+            (0..faults.len())
+                .map(|i| run.first_detection(i).is_some())
+                .collect()
+        };
+        let here = detected_under(c, seed, universe.faults());
+        let elsewhere = detected_under(c, seed ^ 0x5eed, universe.faults());
+        let union: Vec<usize> = (0..universe.len())
+            .filter(|&i| !here[i] || !elsewhere[i])
+            .collect();
+        let union_faults: Vec<Fault> = union.iter().map(|&i| universe.faults()[i]).collect();
+        assert!(
+            union.iter().any(|&i| !here[i]),
+            "{}: needs undetected faults",
+            c.name()
+        );
+
+        let nodes: Vec<NodeId> = c.node_ids().collect();
+        let shared: Vec<Vec<TestPoint>> = nodes
+            .iter()
+            .flat_map(|&n| {
+                TestPointKind::ALL
+                    .iter()
+                    .map(move |&k| vec![TestPoint::new(n, k)])
+            })
+            .collect();
+        // Per candidate, which union faults the candidate circuit
+        // detects (`None` when the point does not apply).
+        let reference: HashMap<TestPoint, Option<Vec<bool>>> = shared
+            .iter()
+            .map(|g| {
+                let mut scratch = c.clone();
+                let detected = apply_test_point(&mut scratch, g[0])
+                    .ok()
+                    .map(|_| detected_under(&scratch, seed, &union_faults));
+                (g[0], detected)
+            })
+            .collect();
+        let solo = (0..4).map(|shift| {
+            nodes
+                .iter()
+                .enumerate()
+                .map(|(i, &n)| vec![TestPoint::new(n, TestPointKind::ALL[(i + shift) % 4])])
+                .collect::<Vec<_>>()
+        });
+        let batches: Vec<Vec<Vec<TestPoint>>> =
+            std::iter::once(shared.clone()).chain(solo).collect();
+        let control = RunControl::unlimited();
+        let mut filtered = 0;
+        for mode in [BaseDetections::Simulate, BaseDetections::AssumeUndetected] {
+            let member: Vec<bool> = union
+                .iter()
+                .map(|&i| match mode {
+                    BaseDetections::Simulate => !elsewhere[i],
+                    BaseDetections::AssumeUndetected => !here[i],
+                })
+                .collect();
+            let faults: Vec<Fault> = union_faults
+                .iter()
+                .zip(&member)
+                .filter(|&(_, &m)| m)
+                .map(|(&f, _)| f)
+                .collect();
+            for (bi, batch) in batches.iter().enumerate() {
+                let threads: &[usize] = if bi < 2 { &[1, 2] } else { &[1] };
+                for &threads in threads {
+                    let scored = score_candidate_groups(
+                        c,
+                        &faults,
+                        batch,
+                        patterns,
+                        seed,
+                        SimOptions::default(),
+                        threads,
+                        mode,
+                        &control,
+                    )
+                    .unwrap();
+                    assert!(scored.stopped.is_none());
+                    for (group, score) in batch.iter().zip(&scored.scores) {
+                        let expected = reference[&group[0]].as_ref().map(|detected| {
+                            detected
+                                .iter()
+                                .zip(&member)
+                                .filter(|&(&d, &m)| d && m)
+                                .count() as u64
+                        });
+                        assert_eq!(
+                            score.detected,
+                            expected,
+                            "{}: {} ({mode:?}, threads {threads})",
+                            c.name(),
+                            group[0]
+                        );
+                    }
+                    filtered += scored.faults_filtered;
+                }
+            }
+        }
+        filtered
+    }
+
+    #[test]
+    fn held_blocks_charge_like_the_unfiltered_run() {
+        // Split a fault list into simulated and held faults, run the
+        // first part and finish the block schedule for the second: under
+        // every work budget the pair must stop exactly where a run over
+        // the whole list stops, and leave the budget equally spent.
+        let c =
+            tpi_gen::dags::random_dag(&tpi_gen::dags::RandomDagConfig::new(16, 120, 4)).unwrap();
+        let universe = FaultUniverse::collapsed(&c).unwrap();
+        let faults = universe.faults();
+        let patterns = 1000;
+        let options = SimOptions {
+            block_words: 1,
+            ..SimOptions::default()
+        };
+        let mut sim = FaultSimulator::with_options(&c, options).unwrap();
+        let mut run = |faults: &[Fault], control: &RunControl| {
+            let mut src = IndependentPatterns::new(c.inputs().len(), 3);
+            sim.run_controlled(&mut src, patterns, faults, control)
+                .unwrap()
+        };
+        let whole = run(faults, &RunControl::unlimited());
+        let death = |i: usize| whole.result.first_detection(i).unwrap_or(u64::MAX);
+        // Held: every third fault, the hardest ones (which outlive the
+        // simulated part), and the easiest ones (which die first).
+        let hardest = (0..faults.len()).map(death).max().unwrap();
+        let splits: [&dyn Fn(usize) -> bool; 3] =
+            [&|i| i % 3 == 0, &|i| death(i) == hardest, &|i| {
+                death(i) < 64
+            }];
+        for held in splits {
+            let simulated: Vec<Fault> = (0..faults.len())
+                .filter(|&i| !held(i))
+                .map(|i| faults[i])
+                .collect();
+            let hold = (0..faults.len()).filter(|&i| held(i)).map(death).max();
+            let budgets = (0..=patterns / 64 + 1).flat_map(|k| [64 * k, 64 * k + 1]);
+            for budget in budgets.chain([patterns, patterns + 1]) {
+                let alone = RunControl::with_budget(budget);
+                let expected = run(faults, &alone);
+                let paired = RunControl::with_budget(budget);
+                let part = run(&simulated, &paired);
+                let mut counters = part.counters;
+                let stopped = part.stopped.or_else(|| {
+                    charge_held_blocks(counters.blocks, 64, patterns, hold, &paired, &mut counters)
+                });
+                assert_eq!(stopped, expected.stopped, "budget {budget}");
+                assert_eq!(counters.polls, expected.counters.polls, "budget {budget}");
+                assert_eq!(
+                    paired.poll(),
+                    alone.poll(),
+                    "budget {budget}: spent differs"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reach_filter_matches_full_resimulation_on_random_dags() {
+        for (inputs, gates, seed) in [(12, 100, 3u64), (32, 400, 21)] {
+            let c = tpi_gen::dags::random_dag(&tpi_gen::dags::RandomDagConfig::new(
+                inputs, gates, seed,
+            ))
+            .unwrap();
+            let filtered = assert_every_candidate_matches(&c, 64, seed);
+            assert!(filtered > 0, "{}: the filter never filtered", c.name());
+        }
+    }
+
+    #[test]
+    fn reach_filter_matches_full_resimulation_on_awkward_structure() {
+        let filtered = assert_every_candidate_matches(&awkward(), 48, 5);
+        assert!(filtered > 0, "the filter never filtered");
     }
 
     #[test]

@@ -1339,7 +1339,7 @@ fn lane_masks(lanes: u64, w: usize) -> [u64; MAX_BLOCK_WORDS] {
 }
 
 /// Offset of the first set lane across detect words (word-major).
-fn first_lane(detect: &[u64; MAX_BLOCK_WORDS]) -> Option<u64> {
+pub(crate) fn first_lane(detect: &[u64]) -> Option<u64> {
     detect
         .iter()
         .enumerate()

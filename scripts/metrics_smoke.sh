@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Metrics smoke: `tpi simulate --metrics-out`, `tpi batch --metrics-out`
 # (on a manifest mixing healthy and failing jobs) and `tpi insert
-# --metrics-out` (constructive, dp and greedy) must write well-formed
+# --metrics-out` (constructive, dp and greedy; constructive also on
+# results/dag400_s5.bench, run from the repo root) must write well-formed
 # registry snapshots with the expected keys, the batch summary line must
 # carry the per-status split, and `tpi stats` must render the snapshot
 # as a table.
@@ -116,7 +117,28 @@ region = doc["engine.region_dp_us"]
 assert region["type"] == "histogram", region
 assert region["count"] == doc["engine.memo_misses"]["value"] >= 1, (region, doc["engine.memo_misses"])
 assert doc["engine.optimize_us"]["count"] == 1, doc["engine.optimize_us"]
+# The work cuts publish their counters even when they cut nothing.
+for key in ["engine.region_dp_skipped", "search.faults_filtered"]:
+    entry = doc[key]
+    assert entry["type"] == "counter" and entry["value"] >= 0, (key, entry)
 print("insert metrics: ok (search referee counters, eval-time and region-DP histograms)")
+EOF
+
+# ---- insert on a 400-gate DAG: both work cuts fire. ----
+# Regions that cannot enter a round's kept list go unsolved, and
+# control/full candidate runs leave out faults that cannot reach their
+# cut set; every solve that did run is still timed.
+"$TPI" insert results/dag400_s5.bench --log2-threshold -10 --method constructive \
+  --metrics-out "$dir/dag.json" > /dev/null
+python3 - "$dir/dag.json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+skipped = doc["engine.region_dp_skipped"]
+assert skipped["type"] == "counter" and skipped["value"] >= 1, skipped
+filtered = doc["search.faults_filtered"]
+assert filtered["type"] == "counter" and filtered["value"] >= 1, filtered
+assert doc["engine.region_dp_us"]["count"] == doc["engine.memo_misses"]["value"], doc["engine.memo_misses"]
+print(f"work-cut metrics: ok ({skipped['value']} region DPs skipped, {filtered['value']} faults filtered)")
 EOF
 
 # ---- insert --method dp --metrics-out: the DP's own work counters. ----

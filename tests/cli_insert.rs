@@ -2,7 +2,8 @@
 //! refused with a normal error exit (never a panic, never a vacuous
 //! δ = 0 run), and `--metrics-out` attributes the optimiser's work —
 //! `DpStats` for `--method dp`, `GreedyStats` for `--method greedy`,
-//! timed region-DP solves for `--method constructive`, and for
+//! timed region-DP solves and the counts of skipped solves and filtered
+//! faults for `--method constructive`, and for
 //! `tpi atpg` the PODEM work of the redundancy sweep and the top-off
 //! run together. A flag the command does not read — a typo, or one that
 //! no longer exists — is refused before anything runs.
@@ -197,6 +198,37 @@ fn constructive_insert_times_every_region_dp_solve() {
     assert!(solves >= 1, "{doc}");
     assert_eq!(solves, value(&doc, "engine.memo_misses"));
     assert_eq!(count("engine.optimize_us"), 1);
+    // The work cuts publish their counters even when they cut nothing.
+    value(&doc, "engine.region_dp_skipped");
+    value(&doc, "search.faults_filtered");
+
+    // On a 400-gate DAG both cuts fire: regions that cannot enter a
+    // round's kept list go unsolved, and control/full candidate runs
+    // leave out faults that cannot reach their cut set.
+    let dag = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/dag400_s5.bench");
+    let output = tpi(&[
+        "insert",
+        dag.to_str().unwrap(),
+        "--log2-threshold",
+        "-10",
+        "--method",
+        "constructive",
+        "--metrics-out",
+        out.to_str().unwrap(),
+    ]);
+    assert!(
+        output.status.success(),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let doc = metrics(&out);
+    assert!(value(&doc, "engine.region_dp_skipped") >= 1, "{doc}");
+    assert!(value(&doc, "search.faults_filtered") >= 1, "{doc}");
+    let solves = doc
+        .get("engine.region_dp_us")
+        .and_then(|h| h.get("count"))
+        .and_then(Json::as_u64);
+    assert_eq!(solves, Some(value(&doc, "engine.memo_misses")));
     std::fs::remove_dir_all(&dir).ok();
 }
 
