@@ -38,8 +38,8 @@ use tpi_netlist::{TestPoint, TestPointKind};
 use tpi_obs::Registry;
 use tpi_sim::parallel::run_parallel_opts;
 use tpi_sim::{
-    score_candidate_groups, BaseDetections, DetectionMode, FaultSimResult, FaultSimulator,
-    FaultUniverse, IndependentPatterns, RandomPatterns, RunControl, SimOptions,
+    score_candidate_groups, DetectionMode, FaultSimResult, FaultSimulator, FaultUniverse,
+    IndependentPatterns, RandomPatterns, RunControl, SimOptions,
 };
 
 /// Matches the Criterion groups this harness replaced: mean over 10
@@ -551,7 +551,6 @@ fn bench_candidate_eval() -> Json {
                 seed,
                 opts,
                 threads,
-                BaseDetections::AssumeUndetected,
                 &control,
             )
             .expect("scores");
@@ -1061,7 +1060,6 @@ fn smoke() {
         SEED,
         SimOptions::default(),
         2,
-        BaseDetections::AssumeUndetected,
         &RunControl::unlimited(),
     )
     .expect("scores");

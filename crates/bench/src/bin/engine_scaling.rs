@@ -1,22 +1,16 @@
-//! **Engine scaling — incremental session vs from-scratch constructive loop.**
+//! **Engine scaling — the incremental constructive loop on growing banks.**
 //!
-//! Both drivers run the same measure → decompose → DP → commit loop with
-//! identical budgets; the only difference is the machinery underneath:
-//!
-//! * `baseline` — [`ConstructiveOptimizer`], which re-derives topology,
-//!   COP and FFRs and re-simulates *every* fault from pattern zero after
-//!   each commit;
-//! * `engine` — [`TpiEngine`], which caches the derived analyses, memoizes
-//!   per-region DP solves, and re-simulates only the dirty cone of each
-//!   inserted point.
+//! [`TpiEngine::optimize`] runs the measure → decompose → DP → commit loop
+//! on a session that caches the derived analyses, memoizes per-region DP
+//! solves, and re-simulates only the dirty cone of each inserted point.
 //!
 //! The instance family is a bank of independent random-pattern-resistant
 //! AND cones: each commit touches one cone, so the fraction of the circuit
-//! the engine must revisit shrinks as the bank grows. The acceptance bar
-//! for the engine is a ≥ 2× end-to-end speedup at the larger sizes.
+//! the engine must revisit shrinks as the bank grows. The `resim` and
+//! `skipped` columns show that fraction; `engine_ms` is the wall clock of
+//! one run.
 
 use tpi_bench::{ms, timed};
-use tpi_core::general::{ConstructiveConfig, ConstructiveOptimizer};
 use tpi_core::Threshold;
 use tpi_engine::{EngineConfig, OptimizeConfig, TpiEngine};
 use tpi_netlist::{Circuit, CircuitBuilder, GateKind};
@@ -28,26 +22,14 @@ const THRESHOLD_LOG2: f64 = -10.0;
 
 fn main() {
     let threshold = Threshold::from_log2(THRESHOLD_LOG2);
-    println!("# Engine scaling: constructive loop, engine vs from-scratch baseline");
+    println!("# Engine scaling: the incremental constructive loop");
     println!(
         "# {PATTERNS} patterns/round, {MAX_ROUNDS} rounds max, \u{3b4} = 2^{THRESHOLD_LOG2}, \
          banks of 12-input AND cones"
     );
-    println!(
-        "cones\tnodes\tfaults\tbase_ms\tengine_ms\tspeedup\tbase_cov%\teng_cov%\t\
-         resim\tskipped\tmemo_hits"
-    );
+    println!("cones\tnodes\tfaults\tengine_ms\teng_cov%\tresim\tskipped\tmemo_hits");
     for &cones in &[4usize, 8, 16, 32] {
         let circuit = cone_bank(cones, 12);
-
-        let baseline = ConstructiveOptimizer::new(ConstructiveConfig {
-            patterns_per_round: PATTERNS,
-            max_rounds: MAX_ROUNDS,
-            seed: SEED,
-            ..ConstructiveConfig::default()
-        });
-        let (base_out, base_t) = timed(|| baseline.solve(&circuit, threshold));
-        let base_out = base_out.expect("baseline loop runs");
 
         let (engine_result, engine_t) = timed(|| {
             let mut engine = TpiEngine::new(
@@ -73,16 +55,11 @@ fn main() {
         });
         let (eng_out, stats) = engine_result;
 
-        let base_ms = base_t.as_secs_f64() * 1e3;
-        let engine_ms = engine_t.as_secs_f64() * 1e3;
         println!(
-            "{cones}\t{}\t{}\t{}\t{}\t{:.2}\t{:.2}\t{:.2}\t{}\t{}\t{}",
+            "{cones}\t{}\t{}\t{}\t{:.2}\t{}\t{}\t{}",
             circuit.node_count(),
             fault_count(&circuit),
-            ms(base_t),
             ms(engine_t),
-            base_ms / engine_ms,
-            100.0 * base_out.final_coverage,
             100.0 * eng_out.final_coverage,
             stats.faults_resimulated,
             stats.faults_skipped,

@@ -1,14 +1,15 @@
 //! **Table 3 — general (reconvergent) circuits.**
 //!
-//! The NP-hard case: the constructive FFR+DP driver vs the greedy and
+//! The NP-hard case: the constructive FFR+DP loop (`TpiEngine::optimize`,
+//! the loop `tpi insert --method constructive` runs) vs the greedy and
 //! random baselines on the suite's non-tree circuits, all measured by the
 //! same independent fault simulation at 32k patterns. Points are capped so
 //! the comparison is at (approximately) equal hardware budget.
 
 use tpi_atpg::{redundancy, PodemConfig};
 use tpi_bench::{header, measure_coverage, pct, STANDARD_PATTERNS};
-use tpi_core::general::{ConstructiveConfig, ConstructiveOptimizer};
 use tpi_core::{GreedyConfig, GreedyOptimizer, RandomOptimizer, Threshold, TpiProblem};
+use tpi_engine::{EngineConfig, OptimizeConfig, TpiEngine};
 use tpi_netlist::transform::apply_plan;
 use tpi_sim::FaultUniverse;
 
@@ -42,15 +43,26 @@ fn main() {
         let base = measure_coverage(c, &universe, STANDARD_PATTERNS, 1).coverage();
 
         // Constructive (FFR + DP, fault-sim guided).
-        let outcome = ConstructiveOptimizer::new(ConstructiveConfig {
-            patterns_per_round: 8_192,
-            max_rounds: 30,
-            target_coverage: 1.0,
-            max_cost: budget,
-            ..ConstructiveConfig::default()
-        })
-        .solve(c, threshold)
-        .expect("constructive runs");
+        let mut engine = TpiEngine::new(
+            c.clone(),
+            EngineConfig {
+                patterns: 8_192,
+                verify_incremental: false,
+                ..EngineConfig::default()
+            },
+        )
+        .expect("engine builds");
+        let outcome = engine
+            .optimize(
+                threshold,
+                &OptimizeConfig {
+                    max_rounds: 30,
+                    target_coverage: 1.0,
+                    max_cost: budget,
+                    ..OptimizeConfig::default()
+                },
+            )
+            .expect("constructive runs");
         let fc_constructive =
             measure_coverage(&outcome.modified, &universe, STANDARD_PATTERNS, 1).coverage();
 

@@ -8,8 +8,8 @@
 
 use tpi_atpg::{redundancy, topoff, PodemConfig};
 use tpi_bench::{header, pct, STANDARD_PATTERNS};
-use tpi_core::general::{ConstructiveConfig, ConstructiveOptimizer};
 use tpi_core::{DpOptimizer, Threshold, TpiProblem};
+use tpi_engine::{EngineConfig, OptimizeConfig, TpiEngine};
 use tpi_netlist::transform::apply_plan;
 use tpi_netlist::{ffr, Topology};
 use tpi_sim::{FaultSimulator, FaultUniverse, RandomPatterns};
@@ -55,14 +55,23 @@ fn main() {
                 Err(_) => c.clone(),
             }
         } else {
-            ConstructiveOptimizer::new(ConstructiveConfig {
-                patterns_per_round: 8_192,
+            let mut engine = TpiEngine::new(
+                c.clone(),
+                EngineConfig {
+                    patterns: 8_192,
+                    verify_incremental: false,
+                    ..EngineConfig::default()
+                },
+            )
+            .expect("engine builds");
+            let cfg = OptimizeConfig {
                 max_rounds: 20,
-                ..ConstructiveConfig::default()
-            })
-            .solve(c, threshold)
-            .expect("constructive runs")
-            .modified
+                ..OptimizeConfig::default()
+            };
+            engine
+                .optimize(threshold, &cfg)
+                .expect("constructive runs")
+                .modified
         };
         let points = modified.inputs().len() - c.inputs().len()
             + (modified.outputs().len() - c.outputs().len());

@@ -503,8 +503,8 @@ impl DpOptimizer {
     }
 
     /// Solve with an explicit boundary observability `rho` applied at
-    /// primary-output roots — the fanout-free-region entry point used by
-    /// [`general::ConstructiveOptimizer`](crate::general::ConstructiveOptimizer):
+    /// primary-output roots — the fanout-free-region entry point of the
+    /// constructive loop (see [`general`](crate::general)):
     /// the region root's observed continuation into the enclosing circuit
     /// has observability `rho` rather than 1.
     ///

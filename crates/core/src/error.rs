@@ -9,8 +9,8 @@ use tpi_sim::StopReason;
 #[non_exhaustive]
 pub enum TpiError {
     /// The tree DP was asked to solve a circuit with fanout (the class on
-    /// which the problem is NP-hard; use
-    /// [`general::ConstructiveOptimizer`](crate::general::ConstructiveOptimizer)).
+    /// which the problem is NP-hard; use the constructive loop, see
+    /// [`general`](crate::general)).
     NotFanoutFree {
         /// A stem demonstrating the fanout.
         stem: String,

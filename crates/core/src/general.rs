@@ -1,104 +1,55 @@
-//! The constructive driver for general (reconvergent) circuits.
+//! Building blocks of the constructive driver for general (reconvergent)
+//! circuits.
 //!
 //! Optimal insertion is NP-hard once fanout reconverges, so the DP cannot
-//! be applied globally. Instead, [`ConstructiveOptimizer`] runs the loop
-//! the DFT literature converged on:
+//! be applied globally. The constructive loop (`tpi_engine::TpiEngine::optimize`,
+//! which `tpi insert --method constructive`, `tpi batch` and `tpi serve`
+//! run) follows the DFT literature instead:
 //!
 //! 1. **Measure** — fault-simulate the current circuit with a fixed
 //!    random-pattern budget, keeping the undetected faults;
 //! 2. **Decompose** — split the circuit into fanout-free regions (FFRs),
 //!    inside which the tree DP is exact;
 //! 3. **Solve** — for each region holding undetected faults, extract it as
-//!    a standalone tree (boundary nets become pseudo-inputs carrying their
-//!    COP probabilities; the region root keeps its COP observability `ρ`)
-//!    and run [`DpOptimizer::solve_region`];
-//! 4. **Commit** — apply the best benefit/cost region plan, then repeat.
+//!    a standalone tree ([`extract_region`]: boundary nets become
+//!    pseudo-inputs carrying their COP probabilities; the region root
+//!    keeps its COP observability `ρ`) and run
+//!    [`DpOptimizer::solve_region`](crate::DpOptimizer::solve_region);
+//! 4. **Commit** — let the best region plans and single-point escalations
+//!    ([`gather_candidates`]) compete on detections per cost measured by
+//!    fault simulation, apply the winner, then repeat.
 //!
 //! The loop is *constructive*: every round is validated by fault
 //! simulation before the next is planned, so approximation errors in COP
-//! under reconvergence cannot compound silently.
-//!
-//! The returned plan's test points reference nodes of the evolving
-//! circuit in application order, so replaying the plan against the
-//! original circuit reproduces the optimizer's final circuit exactly
-//! (aux-node ids included) — covered by a unit test.
+//! under reconvergence cannot compound silently. Its results are
+//! reported as a [`ConstructiveOutcome`] with one [`RoundReport`] per
+//! round.
 
 use std::collections::HashMap;
 
 use tpi_netlist::ffr::FfrDecomposition;
-use tpi_netlist::transform::apply_test_point;
 use tpi_netlist::{Circuit, GateKind, NodeId, TestPoint, Topology};
-use tpi_sim::candidate::{score_candidate_groups, BaseDetections};
-use tpi_sim::{
-    FaultSimulator, FaultSite, FaultUniverse, IndependentPatterns, RandomPatterns, RunControl,
-    SimOptions, StopReason,
-};
+use tpi_sim::{FaultSite, FaultUniverse, StopReason};
 use tpi_testability::CopAnalysis;
 
-use crate::{DpConfig, DpOptimizer, Plan, TargetFault, Threshold, TpiError, TpiProblem};
+use crate::Plan;
 
 /// How candidate test points are scored by the search loops.
 ///
 /// Both strategies produce **bit-identical plans** (property-tested):
-/// the batched evaluator shares the base circuit's detection state
-/// across candidates and re-simulates only each candidate's dirty cone,
-/// which provably cannot change any score (see
-/// [`tpi_sim::candidate`]). Legacy is kept as the A/B oracle.
+/// the batched evaluator shares one compiled simulator across
+/// candidates and re-simulates only each candidate's dirty cone, which
+/// provably cannot change any score (see [`tpi_sim::candidate`]).
+/// Legacy is kept as the A/B oracle.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum CandidateEval {
-    /// Compile-once batched scoring: validate groups against the base
-    /// circuit before cloning, simulate the base detection state once,
-    /// and pay only cone-sized work per candidate.
+    /// Compile-once batched scoring: validate groups before cloning,
+    /// share one augmented simulator across candidates, and pay only
+    /// cone-sized work per candidate.
     #[default]
     Batched,
     /// The historical clone-and-resimulate-everything loop.
     Legacy,
-}
-
-/// Tuning for [`ConstructiveOptimizer`].
-#[derive(Clone, Debug)]
-pub struct ConstructiveConfig {
-    /// Random patterns simulated per round (the per-round test budget).
-    /// Used in full by both the measurement and the candidate referee
-    /// (earlier versions silently clamped the referee to 4096 patterns;
-    /// the configured value is now respected everywhere).
-    pub patterns_per_round: u64,
-    /// Maximum insertion rounds.
-    pub max_rounds: usize,
-    /// Stop once fault coverage reaches this fraction.
-    pub target_coverage: f64,
-    /// Stop once plan cost reaches this budget.
-    pub max_cost: f64,
-    /// Pattern seed.
-    pub seed: u64,
-    /// DP configuration used inside regions.
-    pub dp: DpConfig,
-    /// How many region plans (best benefit/cost first) to commit per
-    /// round before re-simulating.
-    pub regions_per_round: usize,
-    /// Candidate scoring strategy (plans are bit-identical either way).
-    pub candidate_eval: CandidateEval,
-    /// Worker threads for batched candidate scoring. The selected group
-    /// is bit-identical at every thread count; the default of 1 keeps
-    /// work-budget interruption points deterministic as well (workers
-    /// charge a shared budget concurrently above 1).
-    pub score_threads: usize,
-}
-
-impl Default for ConstructiveConfig {
-    fn default() -> ConstructiveConfig {
-        ConstructiveConfig {
-            patterns_per_round: 4096,
-            max_rounds: 24,
-            target_coverage: 1.0,
-            max_cost: f64::INFINITY,
-            seed: 0xDAC_1987,
-            dp: DpConfig::default(),
-            regions_per_round: 4,
-            candidate_eval: CandidateEval::default(),
-            score_threads: 1,
-        }
-    }
 }
 
 /// One round of the constructive loop, for reporting.
@@ -126,335 +77,18 @@ pub struct ConstructiveOutcome {
     pub final_coverage: f64,
     /// The final modified circuit.
     pub modified: Circuit,
-    /// `Some` when a [`RunControl`] token stopped the loop early; the
+    /// `Some` when a [`RunControl`](tpi_sim::RunControl) token stopped the loop early; the
     /// plan then holds the points committed before interruption (an
     /// anytime prefix of the uninterrupted run).
     pub interrupted: Option<StopReason>,
-}
-
-/// The FFR-decomposed constructive inserter for general circuits.
-#[derive(Clone, Debug, Default)]
-pub struct ConstructiveOptimizer {
-    config: ConstructiveConfig,
-}
-
-impl ConstructiveOptimizer {
-    /// Create a constructive optimizer.
-    pub fn new(config: ConstructiveConfig) -> ConstructiveOptimizer {
-        ConstructiveOptimizer { config }
-    }
-
-    /// Run the measure/decompose/solve/commit loop.
-    ///
-    /// Coverage is measured over the collapsed stuck-at universe of the
-    /// *original* circuit (test-logic faults excluded, as in the
-    /// literature's coverage tables).
-    ///
-    /// # Errors
-    ///
-    /// [`TpiError::Netlist`] on malformed circuits.
-    pub fn solve(
-        &self,
-        circuit: &Circuit,
-        threshold: Threshold,
-    ) -> Result<ConstructiveOutcome, TpiError> {
-        self.solve_controlled(circuit, threshold, &RunControl::unlimited())
-    }
-
-    /// [`solve`](ConstructiveOptimizer::solve) under a [`RunControl`]
-    /// token: the token is polled inside every measurement's pattern
-    /// block loop (with applied lanes charged against any work budget),
-    /// inside the region DP, and before every commit. Interruption never
-    /// commits a partially-refereed round, so the returned plan is an
-    /// exact prefix of what the uninterrupted run would commit — its
-    /// cost cannot exceed the uninterrupted plan's (property-tested) —
-    /// and [`ConstructiveOutcome::interrupted`] records the reason.
-    ///
-    /// # Errors
-    ///
-    /// [`TpiError::Netlist`] on malformed circuits. Interruption is not
-    /// an error.
-    pub fn solve_controlled(
-        &self,
-        circuit: &Circuit,
-        threshold: Threshold,
-        control: &RunControl,
-    ) -> Result<ConstructiveOutcome, TpiError> {
-        let universe = FaultUniverse::collapsed(circuit)?;
-        let costs = crate::CostModel::default();
-        let mut current = circuit.clone();
-        let mut plan_points: Vec<TestPoint> = Vec::new();
-        let mut rounds: Vec<RoundReport> = Vec::new();
-        let mut coverage = 0.0;
-        let mut last_added = 0usize;
-        let mut interrupted: Option<StopReason> = None;
-
-        for round in 0..self.config.max_rounds.max(1) {
-            // 1. Measure.
-            let mut fsim = FaultSimulator::new(&current)?;
-            let mut src =
-                RandomPatterns::new(current.inputs().len(), self.config.seed ^ round as u64);
-            let run = fsim.run_controlled(
-                &mut src,
-                self.config.patterns_per_round,
-                universe.faults(),
-                control,
-            )?;
-            if let Some(reason) = run.stopped {
-                // A truncated measurement would referee the round on too
-                // few patterns; keep the previous round's answer instead.
-                interrupted = Some(reason);
-                break;
-            }
-            let result = run.result;
-            coverage = result.coverage();
-            let cost_so_far = costs.total(&plan_points);
-            rounds.push(RoundReport {
-                round,
-                coverage,
-                cost: cost_so_far,
-                points_added: last_added,
-            });
-            if coverage >= self.config.target_coverage || cost_so_far >= self.config.max_cost {
-                break;
-            }
-            let undetected: Vec<usize> = result.undetected_indices();
-            if undetected.is_empty() {
-                break;
-            }
-
-            // 2. Decompose and group the undetected faults per region.
-            let topo = Topology::of(&current)?;
-            let cop = CopAnalysis::new(&current)?;
-            let ffr = FfrDecomposition::of(&current, &topo);
-            let mut region_targets: HashMap<NodeId, Vec<TargetFault>> = HashMap::new();
-            for &fi in &undetected {
-                let fault = universe.faults()[fi];
-                let (node, stuck) = match fault.site {
-                    FaultSite::Stem(n) => (n, fault.stuck),
-                    // Branch faults are proxied by their driving stem.
-                    FaultSite::Branch { gate, pin } => {
-                        (current.fanins(gate)[pin as usize], fault.stuck)
-                    }
-                };
-                region_targets
-                    .entry(ffr.root_of(node))
-                    .or_default()
-                    .push(TargetFault { node, stuck });
-            }
-
-            // 3. Solve each afflicted region; rank by benefit/cost.
-            // Regions are visited in NodeId order so benefit ties (common in
-            // symmetric circuits) break deterministically, not by hash order.
-            let mut regions: Vec<(NodeId, Vec<TargetFault>)> = region_targets.into_iter().collect();
-            regions.sort_by_key(|(root, _)| *root);
-            let dp = DpOptimizer::new(self.config.dp.clone());
-            let mut candidates: Vec<(Vec<TestPoint>, f64, f64)> = Vec::new(); // (points, cost, score)
-            for (root, targets) in &regions {
-                if let Some(reason) = control.poll() {
-                    interrupted = Some(reason);
-                    break;
-                }
-                let benefit = targets.len() as f64;
-                let Some(extraction) = extract_region(&current, &topo, &ffr, *root, &cop) else {
-                    continue;
-                };
-                let sub_targets: Vec<TargetFault> = targets
-                    .iter()
-                    .filter_map(|t| {
-                        extraction.to_sub.get(&t.node).map(|&node| TargetFault {
-                            node,
-                            stuck: t.stuck,
-                        })
-                    })
-                    .collect();
-                if sub_targets.is_empty() {
-                    continue;
-                }
-                let problem = TpiProblem::with_targets(&extraction.circuit, threshold, sub_targets)
-                    .with_input_probs(extraction.input_probs.clone());
-                let rho = cop.observability(*root).clamp(0.0, 1.0);
-                let region_plan = match dp.solve_region_controlled(&problem, rho, control) {
-                    Ok((region_plan, _)) => region_plan,
-                    Err(TpiError::Interrupted { reason }) => {
-                        interrupted = Some(reason);
-                        break;
-                    }
-                    Err(_) => continue,
-                };
-                if region_plan.is_empty() {
-                    continue; // analytically fine, statistically unlucky
-                }
-                let mapped: Vec<TestPoint> = region_plan
-                    .test_points()
-                    .iter()
-                    .map(|tp| TestPoint::new(extraction.to_parent[&tp.node], tp.kind))
-                    .collect();
-                let cost = costs.total(&mapped);
-                let score = benefit / cost.max(1e-9);
-                candidates.push((mapped, cost, score));
-            }
-            if interrupted.is_some() {
-                break;
-            }
-            candidates.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite scores"));
-            candidates.truncate(self.config.regions_per_round.max(1) * 3);
-
-            // 4. Let every candidate group — region plans and single-point
-            // escalations derived from the undetected sites — compete on
-            // *measured* detections per cost, then commit the winner.
-            // Fault simulation is the referee, so COP's blindness under
-            // reconvergence cannot commit a bad plan twice.
-            let mut groups: Vec<Vec<TestPoint>> = candidates
-                .into_iter()
-                .map(|(points, _, _)| points)
-                .collect();
-            for tp in gather_candidates(&current, &universe, &undetected, &plan_points, 16) {
-                groups.push(vec![tp]);
-            }
-            let (committed, stopped) =
-                self.pick_by_simulation(&current, &universe, &undetected, groups, control)?;
-            if let Some(reason) = stopped {
-                // A partially-refereed pick must not be committed.
-                interrupted = Some(reason);
-                break;
-            }
-            if committed.is_empty() {
-                break;
-            }
-            last_added = 0;
-            let mut spent = costs.total(&plan_points);
-            for &tp in &committed {
-                let price = costs.of(tp.kind);
-                if spent + price > self.config.max_cost {
-                    break;
-                }
-                apply_test_point(&mut current, tp)?;
-                plan_points.push(tp);
-                spent += price;
-                last_added += 1;
-            }
-            if last_added == 0 {
-                break; // budget exhausted mid-commit
-            }
-        }
-
-        let cost = costs.total(&plan_points);
-        let feasible = coverage >= self.config.target_coverage;
-        Ok(ConstructiveOutcome {
-            plan: Plan::new(plan_points, cost, feasible),
-            rounds,
-            final_coverage: coverage,
-            modified: current,
-            interrupted,
-        })
-    }
-}
-
-impl ConstructiveOptimizer {
-    /// Score candidate point groups by fault-simulating the undetected
-    /// set on a scratch copy (the classic "exact fault simulation based
-    /// selection"), returning the best detections-per-cost group.
-    ///
-    /// Scoring uses the [`IndependentPatterns`] stream seeded
-    /// `seed ^ 0xe5ca`: its per-input words are invariant under the
-    /// auxiliary inputs control points insert, so every candidate —
-    /// and the batched evaluator's shared base run — sees the same
-    /// stimulus on the base inputs, which is what makes the two
-    /// [`CandidateEval`] strategies bit-identical.
-    fn pick_by_simulation(
-        &self,
-        current: &Circuit,
-        universe: &FaultUniverse,
-        undetected: &[usize],
-        groups: Vec<Vec<TestPoint>>,
-        control: &RunControl,
-    ) -> Result<(Vec<TestPoint>, Option<StopReason>), TpiError> {
-        let faults: Vec<tpi_sim::Fault> =
-            undetected.iter().map(|&i| universe.faults()[i]).collect();
-        let budget = self.config.patterns_per_round;
-        let seed = self.config.seed ^ 0xe5ca;
-        match self.config.candidate_eval {
-            CandidateEval::Batched => {
-                let batch = score_candidate_groups(
-                    current,
-                    &faults,
-                    &groups,
-                    budget,
-                    seed,
-                    SimOptions::default(),
-                    self.config.score_threads,
-                    // The measurement stream differs from the scoring
-                    // stream, so base detections must be simulated.
-                    BaseDetections::Simulate,
-                    control,
-                )?;
-                if let Some(reason) = batch.stopped {
-                    // The referee was cut short: scores so far are not
-                    // comparable, so report nothing committed.
-                    return Ok((Vec::new(), Some(reason)));
-                }
-                let detected: Vec<Option<u64>> = batch.scores.iter().map(|s| s.detected).collect();
-                Ok((select_best_group(groups, &detected), None))
-            }
-            CandidateEval::Legacy => {
-                let topo = Topology::of(current)?;
-                let mut detected: Vec<Option<u64>> = vec![None; groups.len()];
-                for (gi, group) in groups.iter().enumerate() {
-                    // Validate against the base circuit first: a group
-                    // that cannot apply must not cost a circuit clone.
-                    if group.is_empty() || !tpi_sim::candidate::group_applies(current, &topo, group)
-                    {
-                        continue;
-                    }
-                    let mut scratch = current.clone();
-                    if group
-                        .iter()
-                        .any(|&tp| apply_test_point(&mut scratch, tp).is_err())
-                    {
-                        continue;
-                    }
-                    let mut sim = FaultSimulator::new(&scratch)?;
-                    let mut src = IndependentPatterns::new(scratch.inputs().len(), seed);
-                    let run = sim.run_controlled(&mut src, budget, &faults, control)?;
-                    if let Some(reason) = run.stopped {
-                        // The referee was cut short: scores so far are
-                        // not comparable, so report nothing committed.
-                        return Ok((Vec::new(), Some(reason)));
-                    }
-                    detected[gi] = Some(run.result.detected_count() as u64);
-                }
-                Ok((select_best_group(groups, &detected), None))
-            }
-        }
-    }
-}
-
-/// Deterministic winner selection shared by both scoring strategies:
-/// detections per cost, strictly positive, earlier group winning ties
-/// within `1e-12`.
-fn select_best_group(groups: Vec<Vec<TestPoint>>, detected: &[Option<u64>]) -> Vec<TestPoint> {
-    let costs = crate::CostModel::default();
-    let mut best: Option<(usize, f64)> = None;
-    for (gi, group) in groups.iter().enumerate() {
-        let Some(count) = detected[gi] else {
-            continue;
-        };
-        let score = count as f64 / costs.total(group).max(1e-9);
-        if score > 0.0 && best.map(|(_, s)| score > s + 1e-12).unwrap_or(true) {
-            best = Some((gi, score));
-        }
-    }
-    best.map(|(gi, _)| groups.into_iter().nth(gi).expect("index in range"))
-        .unwrap_or_default()
 }
 
 /// Candidate test points aimed at specific undetected faults: observe the
 /// fault's first visible line, force sibling pins non-controlling, raise
 /// the missing excitation, or cut. Deduplicated against `already`.
 ///
-/// Public so alternative drivers (the incremental `tpi-engine` loop) can
-/// reuse the same escalation heuristics as [`ConstructiveOptimizer`].
+/// The constructive loop adds each as a one-point candidate group next
+/// to the region plans.
 pub fn gather_candidates(
     current: &Circuit,
     universe: &FaultUniverse,
@@ -537,8 +171,8 @@ pub struct RegionExtraction {
 /// Boundary nets become pseudo-inputs carrying their parent-circuit COP
 /// 1-probabilities.
 ///
-/// Public so alternative drivers (the incremental `tpi-engine` loop) can
-/// reuse the exact extraction [`ConstructiveOptimizer`] commits through.
+/// The constructive loop solves the extracted tree with the region DP and
+/// maps the plan back through [`RegionExtraction::to_parent`].
 pub fn extract_region(
     parent: &Circuit,
     topo: &Topology,
@@ -603,7 +237,6 @@ pub fn extract_region(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpi_netlist::transform::apply_plan;
     use tpi_netlist::CircuitBuilder;
 
     /// A reconvergent, random-pattern-resistant circuit: a shared AND-cone
@@ -620,72 +253,6 @@ mod tests {
             .unwrap();
         b.output(tail);
         b.finish().unwrap()
-    }
-
-    #[test]
-    fn improves_coverage_on_reconvergent_circuit() {
-        let c = resistant_reconvergent();
-        let cfg = ConstructiveConfig {
-            patterns_per_round: 2048,
-            max_rounds: 8,
-            target_coverage: 0.999,
-            ..ConstructiveConfig::default()
-        };
-        let outcome = ConstructiveOptimizer::new(cfg)
-            .solve(&c, Threshold::from_test_length(2048, 0.9).unwrap())
-            .unwrap();
-        let baseline = outcome.rounds[0].coverage;
-        assert!(
-            outcome.final_coverage > baseline,
-            "coverage {} did not improve over {}",
-            outcome.final_coverage,
-            baseline
-        );
-        assert!(!outcome.plan.is_empty());
-        assert!(outcome.final_coverage > 0.95, "{}", outcome.final_coverage);
-    }
-
-    #[test]
-    fn plan_replays_to_the_same_circuit() {
-        let c = resistant_reconvergent();
-        let outcome = ConstructiveOptimizer::default()
-            .solve(&c, Threshold::from_test_length(4096, 0.9).unwrap())
-            .unwrap();
-        let (replayed, _) = apply_plan(&c, outcome.plan.test_points()).unwrap();
-        assert_eq!(replayed.node_count(), outcome.modified.node_count());
-        for id in replayed.node_ids() {
-            assert_eq!(replayed.kind(id), outcome.modified.kind(id));
-            assert_eq!(replayed.fanins(id), outcome.modified.fanins(id));
-        }
-    }
-
-    #[test]
-    fn stops_immediately_on_easy_circuit() {
-        let mut b = CircuitBuilder::new("easy");
-        let xs = b.inputs(4, "x");
-        let root = b.balanced_tree(GateKind::Xor, &xs, "g").unwrap();
-        b.output(root);
-        let c = b.finish().unwrap();
-        let outcome = ConstructiveOptimizer::default()
-            .solve(&c, Threshold::from_log2(-6.0))
-            .unwrap();
-        assert!(outcome.plan.is_empty());
-        assert_eq!(outcome.rounds.len(), 1);
-        assert_eq!(outcome.final_coverage, 1.0);
-    }
-
-    #[test]
-    fn respects_round_budget() {
-        let c = resistant_reconvergent();
-        let cfg = ConstructiveConfig {
-            max_rounds: 2,
-            patterns_per_round: 512,
-            ..ConstructiveConfig::default()
-        };
-        let outcome = ConstructiveOptimizer::new(cfg)
-            .solve(&c, Threshold::from_log2(-14.0))
-            .unwrap();
-        assert!(outcome.rounds.len() <= 2);
     }
 
     #[test]
@@ -710,18 +277,5 @@ mod tests {
             let parent_node = ex.to_parent[&s];
             assert!((prob - cop.c1(parent_node)).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn coverage_is_monotone_in_reports() {
-        // Coverage may fluctuate slightly due to pattern reseeding, but
-        // must trend upward across the run.
-        let c = resistant_reconvergent();
-        let outcome = ConstructiveOptimizer::default()
-            .solve(&c, Threshold::from_test_length(4096, 0.9).unwrap())
-            .unwrap();
-        let first = outcome.rounds.first().unwrap().coverage;
-        let last = outcome.rounds.last().unwrap().coverage;
-        assert!(last >= first - 1e-9);
     }
 }

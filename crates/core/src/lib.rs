@@ -24,8 +24,9 @@
 //! * [`ExactOptimizer`] — branch-and-bound exhaustive search, used both to
 //!   certify DP optimality on small instances and to exhibit the
 //!   exponential cost of the general problem;
-//! * [`general::ConstructiveOptimizer`] — the fanout-free-region driver
-//!   that deploys the DP inside general (NP-hard) circuits;
+//! * [`general`] — region extraction and candidate gathering for the
+//!   fanout-free-region loop that deploys the DP inside general (NP-hard)
+//!   circuits (the loop itself is `tpi_engine::TpiEngine::optimize`);
 //! * [`cover`] — covering-style observation-point selection from
 //!   simulated propagation profiles;
 //! * [`reduction`] — the verified Set-Cover ⟶ observation-TPI reduction

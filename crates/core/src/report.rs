@@ -64,6 +64,11 @@ impl InsertionReport {
         })
     }
 
+    /// Targets that miss the threshold before insertion.
+    fn below_threshold(&self) -> usize {
+        self.before.probabilities.len() - self.before.meeting
+    }
+
     /// Render as Markdown.
     pub fn to_markdown(&self) -> String {
         let mut s = String::new();
@@ -91,8 +96,14 @@ impl InsertionReport {
             "| feasible | {} | {} |\n\n",
             self.before.feasible, self.after.feasible
         ));
-        if self.point_lines.is_empty() {
+        if self.point_lines.is_empty() && self.before.feasible {
             s.push_str("No insertion required.\n");
+        } else if self.point_lines.is_empty() {
+            s.push_str(&format!(
+                "No points inserted; {} of {} targets are still below the threshold.\n",
+                self.below_threshold(),
+                self.before.probabilities.len()
+            ));
         } else {
             s.push_str(&format!(
                 "## Inserted test points (total cost {:.2})\n\n",
@@ -121,8 +132,14 @@ impl InsertionReport {
             self.before.min_probability,
             self.after.min_probability,
         ));
-        if self.point_lines.is_empty() {
+        if self.point_lines.is_empty() && self.before.feasible {
             s.push_str("no insertion required\n");
+        } else if self.point_lines.is_empty() {
+            s.push_str(&format!(
+                "no points inserted; {} of {} targets still below the threshold\n",
+                self.below_threshold(),
+                self.before.probabilities.len()
+            ));
         } else {
             s.push_str(&format!(
                 "{} points, cost {:.2}:\n",
@@ -184,5 +201,37 @@ mod tests {
         let r = InsertionReport::build(&p, &plan).unwrap();
         assert!(r.to_markdown().contains("No insertion required"));
         assert!(r.to_text().contains("no insertion required"));
+    }
+
+    #[test]
+    fn empty_plan_on_an_infeasible_problem_reports_the_missing_targets() {
+        let mut b = CircuitBuilder::new("and16");
+        let xs = b.inputs(16, "x");
+        let root = b.balanced_tree(GateKind::And, &xs, "g").unwrap();
+        b.output(root);
+        let c = b.finish().unwrap();
+        let p = TpiProblem::min_cost(&c, Threshold::from_log2(-6.0)).unwrap();
+        // What an interrupted optimizer returns: nothing committed.
+        let r = InsertionReport::build(&p, &Plan::new(vec![], 0.0, false)).unwrap();
+        assert!(!r.before.feasible);
+        let below = r.before.probabilities.len() - r.before.meeting;
+        assert!(below > 0);
+        let targets = r.before.probabilities.len();
+        let txt = r.to_text();
+        assert!(!txt.contains("no insertion required"), "{txt}");
+        assert!(
+            txt.contains(&format!(
+                "no points inserted; {below} of {targets} targets still below the threshold"
+            )),
+            "{txt}"
+        );
+        let md = r.to_markdown();
+        assert!(!md.contains("No insertion required"), "{md}");
+        assert!(
+            md.contains(&format!(
+                "No points inserted; {below} of {targets} targets are still below the threshold."
+            )),
+            "{md}"
+        );
     }
 }

@@ -18,9 +18,8 @@ use tpi_netlist::transform::{apply_test_point, AppliedTestPoint};
 use tpi_netlist::{Circuit, NodeId, TestPoint, TestPointKind, Topology};
 use tpi_obs::{Counter, Histogram, Registry};
 use tpi_sim::{
-    score_candidate_groups, BackendChoice, BaseDetections, DetectionMode, FaultSimResult,
-    FaultSimulator, FaultSite, FaultUniverse, IndependentPatterns, RunControl, SimOptions,
-    StopReason,
+    score_candidate_groups, BackendChoice, DetectionMode, FaultSimResult, FaultSimulator,
+    FaultSite, FaultUniverse, IndependentPatterns, RunControl, SimOptions, StopReason,
 };
 use tpi_testability::CopAnalysis;
 
@@ -50,9 +49,9 @@ pub struct EngineConfig {
     /// Ignored. Kept only so the benchmark driver under `perfbench/`
     /// keeps building; nothing reads it.
     pub simd_backend: BackendChoice,
-    /// Candidate-group scoring path: the batched scorer (default) shares
-    /// the base detection state and simulates only each group's dirty
-    /// faults; `legacy` re-simulates every undetected fault per group.
+    /// Candidate-group scoring path: the batched scorer (default)
+    /// compiles one simulator per round and simulates only each group's
+    /// dirty faults; `legacy` re-simulates every undetected fault per group.
     /// Both select bit-identical groups.
     pub candidate_eval: CandidateEval,
     /// Worker threads for batched candidate scoring (1 = sequential).
@@ -791,9 +790,19 @@ impl TpiEngine {
     /// solutions are memoized across rounds, and candidate scoring
     /// simulates only each candidate's dirty faults.
     ///
-    /// Semantically this matches
-    /// [`ConstructiveOptimizer::solve`](tpi_core::general::ConstructiveOptimizer),
-    /// which remains the from-scratch baseline it is benchmarked against.
+    /// Each round measures coverage over the base circuit's collapsed
+    /// fault universe, groups the undetected faults by fanout-free
+    /// region, solves each region's tree DP
+    /// ([`DpOptimizer::solve_region_controlled`], boundary nets as
+    /// pseudo-inputs carrying their COP probabilities, the root's COP
+    /// observability as `rho`), and lets the best region plans compete
+    /// with single-point escalations ([`gather_candidates`]) on
+    /// detections per cost measured by fault simulation. The winner is
+    /// committed, within `max_cost`, and the loop repeats until
+    /// `target_coverage`, the cost budget, `max_rounds` or a round
+    /// without a winner stops it. Plan points reference the evolving
+    /// circuit in application order, so replaying the plan on the base
+    /// circuit reproduces the final circuit exactly.
     ///
     /// When the session's [`RunControl`] token fires mid-run, the loop
     /// stops cleanly after the last fully-refereed commit and the
@@ -935,9 +944,8 @@ impl TpiEngine {
                 });
         }
 
-        // NodeId order, not hash order: benefit ties must break the same way
-        // as the baseline driver for run-to-run (and engine-vs-baseline)
-        // determinism.
+        // NodeId order, not hash order: benefit ties must break the same
+        // way on every run.
         let mut regions: Vec<(NodeId, Vec<TargetFault>)> = region_targets.into_iter().collect();
         regions.sort_by_key(|(root, _)| *root);
 
@@ -1137,7 +1145,6 @@ impl TpiEngine {
             self.config.seed,
             self.sim_options(),
             self.config.score_threads,
-            BaseDetections::AssumeUndetected,
             &self.control,
         )?;
         batch.counters.publish_to(&self.metrics.registry);
@@ -1512,6 +1519,54 @@ mod tests {
             assert_eq!(replayed.kind(id), outcome.modified.kind(id));
             assert_eq!(replayed.fanins(id), outcome.modified.fanins(id));
         }
+    }
+
+    #[test]
+    fn optimize_stops_at_round_zero_on_an_easy_circuit() {
+        let mut b = CircuitBuilder::new("easy");
+        let xs = b.inputs(4, "x");
+        let root = b.balanced_tree(GateKind::Xor, &xs, "g").unwrap();
+        b.output(root);
+        let mut eng = TpiEngine::new(b.finish().unwrap(), EngineConfig::default()).unwrap();
+        let outcome = eng
+            .optimize(Threshold::from_log2(-6.0), &OptimizeConfig::default())
+            .unwrap();
+        assert!(outcome.plan.is_empty());
+        assert_eq!(outcome.rounds.len(), 1);
+        assert_eq!(outcome.rounds[0].round, 0);
+        assert_eq!(outcome.final_coverage, 1.0);
+    }
+
+    #[test]
+    fn optimize_reports_at_most_max_rounds() {
+        let mut eng = TpiEngine::new(
+            reconvergent(),
+            EngineConfig {
+                patterns: 512,
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        let cfg = OptimizeConfig {
+            max_rounds: 2,
+            ..OptimizeConfig::default()
+        };
+        let outcome = eng.optimize(Threshold::from_log2(-14.0), &cfg).unwrap();
+        assert!(outcome.rounds.len() <= 2, "{} rounds", outcome.rounds.len());
+    }
+
+    #[test]
+    fn optimize_coverage_never_falls_from_first_round_to_last() {
+        let mut eng = TpiEngine::new(reconvergent(), EngineConfig::default()).unwrap();
+        let outcome = eng
+            .optimize(
+                Threshold::from_test_length(4096, 0.9).unwrap(),
+                &OptimizeConfig::default(),
+            )
+            .unwrap();
+        let first = outcome.rounds.first().unwrap().coverage;
+        let last = outcome.rounds.last().unwrap().coverage;
+        assert!(last >= first, "coverage fell from {first} to {last}");
     }
 
     #[test]

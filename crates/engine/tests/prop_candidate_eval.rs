@@ -1,14 +1,13 @@
 //! Property: the batched candidate evaluator and the legacy
 //! clone-and-resimulate path select **bit-identical plans**, across
 //! fault-sim block widths, scoring thread counts, and both detection
-//! modes — for the engine session loop, the from-scratch constructive
-//! baseline, and the greedy analytic search.
+//! modes — for the engine's constructive loop and the greedy analytic
+//! search.
 //!
 //! This is the contract that lets `--candidate-eval batched` be the
 //! default: legacy survives only as the A/B oracle this test consults.
 
 use proptest::prelude::*;
-use tpi_core::general::{ConstructiveConfig, ConstructiveOptimizer};
 use tpi_core::{CandidateEval, GreedyConfig, GreedyOptimizer, Threshold, TpiProblem};
 use tpi_engine::{EngineConfig, OptimizeConfig, TpiEngine};
 use tpi_gen::dags::{random_dag, RandomDagConfig};
@@ -64,37 +63,6 @@ proptest! {
                 &legacy, &batched,
                 "engine diverged: seed {} gates {} W {} threads {}",
                 seed, gates, block_words, threads
-            );
-        }
-    }
-
-    /// The from-scratch constructive baseline agrees with itself across
-    /// scoring paths and thread counts.
-    #[test]
-    fn constructive_batched_matches_legacy(
-        seed in 0u64..1_000,
-        gates in 40usize..100,
-    ) {
-        let circuit = dag(10, gates, seed);
-        let threshold = Threshold::from_log2(-7.0);
-        let run = |candidate_eval: CandidateEval, score_threads: usize| {
-            ConstructiveOptimizer::new(ConstructiveConfig {
-                patterns_per_round: 1024,
-                candidate_eval,
-                score_threads,
-                ..ConstructiveConfig::default()
-            })
-            .solve(&circuit, threshold)
-            .expect("solve")
-            .plan
-        };
-        let legacy = run(CandidateEval::Legacy, 1);
-        for threads in [1usize, 4, 8] {
-            let batched = run(CandidateEval::Batched, threads);
-            prop_assert_eq!(
-                &legacy, &batched,
-                "constructive diverged: seed {} gates {} threads {}",
-                seed, gates, threads
             );
         }
     }

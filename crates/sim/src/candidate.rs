@@ -1,15 +1,21 @@
 //! Batched candidate-group scoring for the test-point search loop.
 //!
-//! The constructive optimizers referee candidate test-point groups by
+//! The constructive optimizer referees candidate test-point groups by
 //! fault simulation. The legacy scorer clones the circuit, compiles a
 //! fresh simulator and re-simulates **every** undetected fault for
 //! **every** candidate group — `O(groups × faults × patterns)` even
 //! though a test point only perturbs its fanout cone. This module makes
 //! scoring `C` single-point candidates cost **one compile plus `C`
-//! cone/lane-sized deltas**:
+//! cone/lane-sized deltas**.
+//!
+//! **Contract.** The scored faults are faults the caller measured as
+//! undetected on the base circuit under the same [`IndependentPatterns`]
+//! stream, seed and pattern budget the scorer uses (the engine measures
+//! coverage that way). A fault a candidate cannot affect therefore
+//! detects nothing, and every shortcut below rests on that.
 //!
 //! * the group is validated against the base circuit *before* any clone
-//!   (see [`group_applies`]) — invalid groups cost a hash-map walk, not
+//!   (see `group_applies`) — invalid groups cost a hash-map walk, not
 //!   a full circuit copy;
 //! * one **augmented circuit** is built per batch: every candidate site
 //!   `v` gets a pattern-controlled bypass mux `OR(AND(v, a), b)`
@@ -29,8 +35,8 @@
 //!   for every scored fault, the set of candidate sites its effect
 //!   ever reaches within the pattern budget. A pure observe tap
 //!   changes no value, so an observe candidate at `v` detects exactly
-//!   `base-detected ∨ present-at-v` — every observe candidate in the
-//!   batch is scored by this single pass, with **zero** per-candidate
+//!   the faults present at `v` — every observe candidate in the batch
+//!   is scored by this single pass, with **zero** per-candidate
 //!   simulation. Undetected faults propagate barely at all (that is
 //!   *why* they are undetected), so the pass costs a fraction of one
 //!   ordinary fault-sim run;
@@ -45,22 +51,19 @@
 //!   detection words `d(f)` from which all three candidates read off
 //!   their counts:
 //!
-//!   | kind         | detected(f)                                    |
-//!   |--------------|------------------------------------------------|
-//!   | `ControlAnd` | `d(f) ∧ ¬r ≠ 0  ∨  base(f) ∧ r ≠ 0`            |
-//!   | `ControlOr`  | `d(f) ∧ r ≠ 0  ∨  base(f) ∧ ¬r ≠ 0`            |
-//!   | `Full`       | `d(f) ≠ 0  ∨  present-at-v(f)`                 |
+//!   | kind         | detected(f)                    |
+//!   |--------------|--------------------------------|
+//!   | `ControlAnd` | `d(f) ∧ ¬r ≠ 0`                |
+//!   | `ControlOr`  | `d(f) ∧ r ≠ 0`                 |
+//!   | `Full`       | `d(f) ≠ 0  ∨  present-at-v(f)` |
 //!
-//!   The base term is the transparency argument: on a control point's
-//!   non-forcing lanes the inserted gate is an identity buffer — good
-//!   values, fault excitation and propagation are bit-identical to
-//!   the base circuit, so the candidate's detection bits there *are*
-//!   the base bitmaps (simulated once under
-//!   [`BaseDetections::Simulate`], identically zero under
-//!   [`BaseDetections::AssumeUndetected`]). The full point's tap term
-//!   reuses the presence pass: `v`'s fanin cone is upstream of the
-//!   cut (the circuit is acyclic), so the effect reaches `v` in the
-//!   cut circuit iff it does in the base circuit;
+//!   On a control point's non-forcing lanes the inserted gate is an
+//!   identity buffer — good values, fault excitation and propagation
+//!   are bit-identical to the base circuit, which detects none of the
+//!   scored faults — so only the forcing lanes can add detections. The
+//!   full point's tap term reuses the presence pass: `v`'s fanin cone
+//!   is upstream of the cut (the circuit is acyclic), so the effect
+//!   reaches `v` in the cut circuit iff it does in the base circuit;
 //! * the merged run only pays off when several candidates split it. A
 //!   site hosting a *single* control or full candidate takes a
 //!   narrower solo run instead: a control point re-simulates only its
@@ -80,25 +83,24 @@
 //!   circuit's on every lane (induction in topological order: outside
 //!   `FO⁺(v)` the fanins are unchanged; inside, every fanin either lies
 //!   in `FO⁺(v)` or in `S(v)`, and neither carries its effect), so it
-//!   keeps its base detection bits. A full point drops `v` from the
-//!   set: a fault reaching `v` is tap-detected whatever the cut does.
-//!   The filtered faults still count towards the run's block schedule
-//!   under a work budget (see `charge_held_blocks`), so the token is
-//!   polled and charged exactly as by an unfiltered run.
+//!   stays undetected. A full point drops `v` from the set: a fault
+//!   reaching `v` is tap-detected whatever the cut does. The filtered
+//!   faults still count towards the run's block schedule under a work
+//!   budget (see `charge_held_blocks`), so the token is polled and
+//!   charged exactly as by an unfiltered run.
 //!
 //! Multi-point groups (and any group the augmented build cannot cover)
 //! fall back to the legacy path: clone, apply, compile, and re-simulate
-//! the group's *dirty* faults, crediting clean faults with their base
-//! detections by the same cone-delta argument the incremental engine
-//! uses.
+//! the group's *dirty* faults; a clean fault stays undetected by the
+//! same cone-delta argument the incremental engine uses.
 //!
 //! Scoring uses [`IndependentPatterns`], whose per-input streams are
 //! invariant under input insertion: the auxiliary inputs a control
 //! point adds do not shift the patterns any base input sees, so the
-//! shared base run and every per-candidate run observe the same input
-//! stimulus. (The legacy `RandomPatterns` source draws all inputs from
-//! one sequential PRNG and has no such invariance — sharing anything
-//! across candidates under it would be unsound.)
+//! caller's measurement and every per-candidate run observe the same
+//! input stimulus. (The legacy `RandomPatterns` source draws all inputs
+//! from one sequential PRNG and has no such invariance — sharing
+//! anything across candidates under it would be unsound.)
 //!
 //! Groups are scored either sequentially (bit-identical to the legacy
 //! loop's early-stop behaviour under [`RunControl`]) or by a pool of
@@ -122,26 +124,9 @@ use tpi_netlist::{Circuit, NetlistError, NodeId, TestPoint, TestPointKind, Topol
 use crate::compile::MAX_BLOCK_WORDS;
 use crate::control::{RunControl, StopReason};
 use crate::fault::{Fault, FaultSite};
-use crate::fsim::{first_lane, FaultSimulator, SimOptions};
+use crate::fsim::{FaultSimulator, SimOptions};
 use crate::metrics::SimCounters;
 use crate::patterns::{IndependentPatterns, PatternSource};
-
-/// How faults outside a candidate's dirty cone are accounted.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum BaseDetections {
-    /// Simulate the base circuit once under the scoring stream and
-    /// credit each candidate with the base detections of its clean
-    /// faults. Required when the scoring stream differs from the
-    /// stream that classified the faults as undetected (the
-    /// from-scratch optimizer's situation).
-    Simulate,
-    /// Assume every scored fault is undetected on the base circuit
-    /// under the scoring stream, so clean faults contribute zero
-    /// detections. Sound when the caller measured coverage with the
-    /// *same* source, seed and pattern count (the engine's situation);
-    /// skips the base run entirely.
-    AssumeUndetected,
-}
 
 /// Per-group outcome of a batch scoring call.
 #[derive(Copy, Clone, Debug, Default)]
@@ -162,7 +147,7 @@ pub struct BatchScores {
     /// `Some` when the control token fired mid-batch; scores are then
     /// not comparable and callers must not commit a selection.
     pub stopped: Option<StopReason>,
-    /// Kernel counters merged over the base run and every group run.
+    /// Kernel counters merged over the presence pass and every group run.
     pub counters: SimCounters,
     /// Scored faults the reach filter left out of control/full runs,
     /// summed over the candidates those runs scored (a merged run counts
@@ -185,7 +170,7 @@ pub struct BatchScores {
 /// never interact (`rewire` only touches pins equal to the site).
 ///
 /// Nodes outside the circuit are reported as not applicable.
-pub fn group_applies(circuit: &Circuit, topo: &Topology, group: &[TestPoint]) -> bool {
+fn group_applies(circuit: &Circuit, topo: &Topology, group: &[TestPoint]) -> bool {
     // (refs to the site's raw output, site currently an output entry).
     let mut sites: HashMap<NodeId, (usize, bool)> = HashMap::new();
     for tp in group {
@@ -391,6 +376,11 @@ impl FastPrep {
     /// `FO⁺(v)`, or its effect reaches the cut set — `v` itself counts
     /// for a control point only (see module docs). Without a presence
     /// pass (a controls-only batch) every fault can.
+    ///
+    /// The `v` term is conservative under the scorer's contract: a
+    /// scored fault that reaches `v` but no side input is blocked at `v`
+    /// on a control point's forcing lanes and unchanged on its other
+    /// lanes, so it stays undetected either way.
     fn may_change(&self, fi: usize, fault: Fault, si: usize, through_site: bool) -> bool {
         if self.presence.is_empty() {
             return true;
@@ -621,11 +611,11 @@ impl GroupEval {
 
 /// A schedule lane's cache of its most recent merged forcing run:
 /// `(site, per-fault detection words)`, `None` for a fault the reach
-/// filter left out of the run (its words are its base bitmap). Candidate
-/// kinds of one site typically arrive adjacently in a batch, so a
-/// depth-1 cache captures the sharing while bounding memory at one
-/// site's bitmaps per worker (an unbounded map would hold `sites ×
-/// faults × words` on the optimizers' full-circuit sweeps).
+/// filter left out of the run (it detects nothing). Candidate kinds of
+/// one site typically arrive adjacently in a batch, so a depth-1 cache
+/// captures the sharing while bounding memory at one site's bitmaps per
+/// worker (an unbounded map would hold `sites × faults × words` on
+/// full-circuit sweeps).
 type MergedMemo = Option<(NodeId, Vec<Option<Vec<u64>>>)>;
 
 /// Finish the block schedule that a dropping run over the unfiltered
@@ -633,23 +623,24 @@ type MergedMemo = Option<(NodeId, Vec<Option<Vec<u64>>>)>;
 /// `blocks` blocks of `block_lanes` lanes.
 ///
 /// The unfiltered run simulates one more block while any of its faults
-/// is undetected at the block's start. A filtered fault's detections are
-/// its base ones, so `hold` — the last lane at which one of them is
-/// still undetected, `u64::MAX` if one never is — fixes how long it
-/// runs. The remaining blocks poll and charge `control` exactly as that
-/// run would, without simulating anything, so a work budget stops the
-/// search at the same point with or without the filter.
+/// is undetected at the block's start. A filtered (`held`) fault stays
+/// undetected, so that run goes on to the end of the budget. The
+/// remaining blocks poll and charge `control` exactly as that run would,
+/// without simulating anything, so a work budget stops the search at the
+/// same point with or without the filter.
 fn charge_held_blocks(
     blocks: u64,
     block_lanes: u64,
     patterns: u64,
-    hold: Option<u64>,
+    held: bool,
     control: &RunControl,
     counters: &mut SimCounters,
 ) -> Option<StopReason> {
-    let hold = hold?;
+    if !held {
+        return None;
+    }
     let mut base = blocks * block_lanes;
-    while base < patterns && base <= hold {
+    while base < patterns {
         counters.polls += 1;
         if let Some(reason) = control.poll() {
             return Some(reason);
@@ -663,15 +654,15 @@ fn charge_held_blocks(
 
 /// Run `run_faults` with dropping on `prep`'s simulator (cloned into
 /// `fast_sim` on first use), then finish the unfiltered run's block
-/// schedule for the filtered faults (see [`charge_held_blocks`]).
-/// Returns the run's detections, or the stop reason.
-#[allow(clippy::too_many_arguments)]
+/// schedule when some faults were `held` out of it (see
+/// [`charge_held_blocks`]). Returns the run's detections, or the stop
+/// reason.
 fn run_dropping(
     prep: &FastPrep,
     fast_sim: &mut Option<FaultSimulator>,
     src: &mut PackedSource,
     run_faults: &[Fault],
-    hold: Option<u64>,
+    held: bool,
     control: &RunControl,
     counters: &mut SimCounters,
 ) -> Result<Result<u64, StopReason>, NetlistError> {
@@ -689,7 +680,7 @@ fn run_dropping(
         detected = run.result.detected_count() as u64;
         blocks = run.counters.blocks;
     }
-    match charge_held_blocks(blocks, block_lanes, patterns, hold, control, counters) {
+    match charge_held_blocks(blocks, block_lanes, patterns, held, control, counters) {
         Some(reason) => Ok(Err(reason)),
         None => Ok(Ok(detected)),
     }
@@ -705,7 +696,7 @@ fn run_dropping(
 /// lanes only for a control point, non-present faults with dropping
 /// for a full point — which costs less than a merged run nobody else
 /// will read. Every run leaves out the faults the reach filter proves
-/// unchanged; they keep their base detections.
+/// unchanged; they stay undetected.
 #[allow(clippy::too_many_arguments)]
 fn eval_fast(
     prep: &FastPrep,
@@ -716,7 +707,6 @@ fn eval_fast(
     shared: bool,
     base: &Circuit,
     faults: &[Fault],
-    base_maps: Option<&[Vec<u64>]>,
     patterns: u64,
     seed: u64,
     control: &RunControl,
@@ -724,17 +714,13 @@ fn eval_fast(
     let mut counters = SimCounters::default();
     let pw = prep.pattern_words;
     let si = lines.si;
-    let in_base = |fi: usize| base_maps.is_some_and(|m| m[fi].iter().any(|&w| w != 0));
     if tp.kind == TestPointKind::Observe {
-        let pre = (0..faults.len()).filter(|&fi| in_base(fi)).count() as u64;
         // Observing an existing output is a structural no-op, so the
-        // candidate detects exactly the base detections.
+        // candidate detects no more than the base circuit: nothing.
         let detected = if base.is_output(tp.node) {
-            pre
+            0
         } else {
-            pre + (0..faults.len())
-                .filter(|&fi| !in_base(fi) && prep.present(fi, si))
-                .count() as u64
+            (0..faults.len()).filter(|&fi| prep.present(fi, si)).count() as u64
         };
         return Ok(GroupEval::done(detected, counters, 0));
     }
@@ -744,12 +730,13 @@ fn eval_fast(
     let r: Vec<u64> = (0..pw)
         .map(|w| IndependentPatterns::word(seed, aux, w as u64))
         .collect();
-    // The last lane at which a filtered fault is still undetected, from
-    // its base detections in the run's own lane numbering.
-    let mut hold: Option<u64> = None;
-    let mut note_held = |death: Option<u64>| {
-        hold = Some(hold.unwrap_or(0).max(death.unwrap_or(u64::MAX)));
-    };
+    // Forcing lanes of a control point: where its control stream
+    // overrides the site (`r = 0` for an AND point, `r = 1` for an OR
+    // point). On the complementary (transparent) lanes the inserted gate
+    // is an identity buffer, so the candidate detects there exactly what
+    // the base circuit detects: nothing.
+    let forcing_and = tp.kind == TestPointKind::ControlAnd;
+    let forcing = |rw: u64| if forcing_and { !rw } else { rw };
     if !shared {
         let mut pre = 0u64;
         let mut filtered = 0u64;
@@ -757,45 +744,20 @@ fn eval_fast(
         let mut src = match tp.kind {
             TestPointKind::Observe => unreachable!("handled above"),
             TestPointKind::ControlAnd | TestPointKind::ControlOr => {
-                let forcing_and = tp.kind == TestPointKind::ControlAnd;
                 let tail = tail_masks(patterns, pw);
-                // Forcing lanes: where the candidate's control stream
-                // overrides the site (`r = 0` for an AND point, `r = 1`
-                // for an OR point). On the complementary (transparent)
-                // lanes the inserted gate is an identity buffer and the
-                // candidate's detection bits are the base bitmaps
-                // verbatim.
-                let sel: Vec<u64> = (0..pw)
-                    .map(|w| {
-                        if forcing_and {
-                            !r[w] & tail[w]
-                        } else {
-                            r[w] & tail[w]
-                        }
-                    })
-                    .collect();
+                let sel: Vec<u64> = (0..pw).map(|w| forcing(r[w]) & tail[w]).collect();
                 let m: u64 = sel.iter().map(|w| u64::from(w.count_ones())).sum();
-                let out_words = m.div_ceil(64) as usize;
+                if m == 0 {
+                    return Ok(GroupEval::done(0, counters, 0));
+                }
                 for (fi, &f) in faults.iter().enumerate() {
-                    let transparent_hit = base_maps
-                        .is_some_and(|m| m[fi].iter().zip(&sel).any(|(&d, &s)| d & !s != 0));
-                    if transparent_hit {
-                        pre += 1;
-                    } else if m > 0 && !prep.may_change(fi, f, si, true) {
-                        // Base detections, all on forcing lanes: read
-                        // them off in the compacted lane numbering.
-                        let held = base_maps.map(|maps| compact_words(&maps[fi], &sel, out_words));
-                        let death = held.as_deref().and_then(first_lane);
-                        pre += u64::from(death.is_some());
-                        note_held(death);
-                        filtered += 1;
-                    } else {
+                    if prep.may_change(fi, f, si, true) {
                         run_faults.push(f);
+                    } else {
+                        filtered += 1;
                     }
                 }
-                if m == 0 {
-                    return Ok(GroupEval::done(pre, counters, filtered));
-                }
+                let out_words = m.div_ceil(64) as usize;
                 let mut streams: Vec<Vec<u64>> = prep
                     .passthrough
                     .iter()
@@ -821,13 +783,10 @@ fn eval_fast(
                 for (fi, &f) in faults.iter().enumerate() {
                     if prep.present(fi, si) {
                         pre += 1;
-                    } else if !prep.may_change(fi, f, si, false) {
-                        let death = base_maps.and_then(|maps| first_lane(&maps[fi]));
-                        pre += u64::from(death.is_some());
-                        note_held(death);
-                        filtered += 1;
-                    } else {
+                    } else if prep.may_change(fi, f, si, false) {
                         run_faults.push(f);
+                    } else {
+                        filtered += 1;
                     }
                 }
                 let mut streams = prep.passthrough.clone();
@@ -841,14 +800,14 @@ fn eval_fast(
             }
         };
         if run_faults.is_empty() && filtered == 0 {
-            return Ok(GroupEval::done(pre, counters, filtered));
+            return Ok(GroupEval::done(pre, counters, 0));
         }
         let run = run_dropping(
             prep,
             fast_sim,
             &mut src,
             &run_faults,
-            hold,
+            filtered > 0,
             control,
             &mut counters,
         )?;
@@ -894,35 +853,20 @@ fn eval_fast(
     }
     let rows = &memo.as_ref().expect("merged run just cached").1;
     let filtered = rows.iter().filter(|row| row.is_none()).count() as u64;
-    // A filtered fault's merged words are its base bitmap (empty when
-    // the base detects nothing).
-    let words = |fi: usize| -> &[u64] {
-        rows[fi]
-            .as_deref()
-            .or_else(|| base_maps.map(|m| m[fi].as_slice()))
-            .unwrap_or(&[])
-    };
-    // The merged detection words are lane-masked to the pattern budget,
-    // so `∧ r` needs no tail mask; the base bitmaps likewise.
+    // A filtered fault has no words: it detects nothing. The merged
+    // detection words are lane-masked to the pattern budget, so `∧ r`
+    // needs no tail mask.
+    let words = |fi: usize| -> &[u64] { rows[fi].as_deref().unwrap_or(&[]) };
     let detected = match tp.kind {
         TestPointKind::Observe => unreachable!("handled above"),
-        TestPointKind::ControlAnd | TestPointKind::ControlOr => {
-            let forcing_and = tp.kind == TestPointKind::ControlAnd;
-            let on = |word: u64, rw: u64, forcing: bool| {
-                word & if forcing == forcing_and { !rw } else { rw }
-            };
-            (0..faults.len())
-                .filter(|&fi| {
-                    words(fi)
-                        .iter()
-                        .zip(&r)
-                        .any(|(&d, &rw)| on(d, rw, true) != 0)
-                        || base_maps.is_some_and(|m| {
-                            m[fi].iter().zip(&r).any(|(&d, &rw)| on(d, rw, false) != 0)
-                        })
-                })
-                .count() as u64
-        }
+        TestPointKind::ControlAnd | TestPointKind::ControlOr => (0..faults.len())
+            .filter(|&fi| {
+                words(fi)
+                    .iter()
+                    .zip(&r)
+                    .any(|(&d, &rw)| d & forcing(rw) != 0)
+            })
+            .count() as u64,
         TestPointKind::Full => (0..faults.len())
             .filter(|&fi| words(fi).iter().any(|&d| d != 0) || prep.present(fi, si))
             .count() as u64,
@@ -934,6 +878,10 @@ fn eval_fast(
 /// patterns of the seeded [`IndependentPatterns`] stream, simulating
 /// only each group's dirty faults / forcing lanes (see the module docs
 /// for why this is bit-identical to re-simulating everything).
+///
+/// Every fault in `faults` must go undetected on `base` within the same
+/// `patterns` patterns of the same stream (the module docs' contract);
+/// the scores are wrong for a fault the base circuit detects.
 ///
 /// Returns one [`GroupScore`] per group, in group order, regardless of
 /// evaluation schedule: with `threads > 1` groups are pulled from a
@@ -954,7 +902,6 @@ pub fn score_candidate_groups(
     seed: u64,
     options: SimOptions,
     threads: usize,
-    base_detections: BaseDetections,
     control: &RunControl,
 ) -> Result<BatchScores, NetlistError> {
     let mut counters = SimCounters::default();
@@ -964,28 +911,6 @@ pub fn score_candidate_groups(
         .map(|g| !g.is_empty() && group_applies(base, &topo, g))
         .collect();
     let mut scores: Vec<GroupScore> = vec![GroupScore::default(); groups.len()];
-
-    let base_maps: Option<Vec<Vec<u64>>> = match base_detections {
-        BaseDetections::AssumeUndetected => None,
-        BaseDetections::Simulate => {
-            let mut sim = FaultSimulator::with_options(base, options)?;
-            let mut src = IndependentPatterns::new(base.inputs().len(), seed);
-            let run = sim.run_bitmaps(&mut src, patterns, faults, control)?;
-            counters.merge(&run.counters);
-            if let Some(reason) = run.stopped {
-                return Ok(BatchScores {
-                    scores,
-                    stopped: Some(reason),
-                    counters,
-                    faults_filtered: 0,
-                });
-            }
-            Some(run.maps)
-        }
-    };
-    let base_detected: Option<Vec<bool>> = base_maps
-        .as_ref()
-        .map(|maps| maps.iter().map(|m| m.iter().any(|&w| w != 0)).collect());
 
     let mut fast = build_fast_prep(base, &topo, groups, &valid, patterns, seed, options);
     if let Some(prep) = &mut fast {
@@ -1047,17 +972,14 @@ pub fn score_candidate_groups(
         }
         let scratch_topo = Topology::of(&scratch)?;
         let dirty = dirty_lines(&scratch, &scratch_topo, old_nodes, &observed);
-        let mut dirty_faults: Vec<Fault> = Vec::new();
-        let mut clean_detected = 0u64;
-        for (i, &f) in faults.iter().enumerate() {
-            if dirty[fault_anchor(&scratch, f).index()] {
-                dirty_faults.push(f);
-            } else if let Some(bd) = &base_detected {
-                clean_detected += u64::from(bd[i]);
-            }
-        }
+        // A clean fault stays undetected (see `dirty_lines`).
+        let dirty_faults: Vec<Fault> = faults
+            .iter()
+            .copied()
+            .filter(|&f| dirty[fault_anchor(&scratch, f).index()])
+            .collect();
         if dirty_faults.is_empty() {
-            return Ok(GroupEval::done(clean_detected, counters, 0));
+            return Ok(GroupEval::done(0, counters, 0));
         }
         let mut sim = FaultSimulator::with_options(&scratch, options)?;
         let mut src = IndependentPatterns::new(scratch.inputs().len(), seed);
@@ -1067,7 +989,7 @@ pub fn score_candidate_groups(
             return Ok(GroupEval::stopped(reason, counters));
         }
         Ok(GroupEval::done(
-            run.result.detected_count() as u64 + clean_detected,
+            run.result.detected_count() as u64,
             counters,
             0,
         ))
@@ -1088,17 +1010,7 @@ pub fn score_candidate_groups(
                     if tp.kind == TestPointKind::Observe || lines.a.is_some() {
                         let shared = mux_groups.get(&tp.node).copied().unwrap_or(0) >= 2;
                         return eval_fast(
-                            prep,
-                            fast_sim,
-                            memo,
-                            lines,
-                            tp,
-                            shared,
-                            base,
-                            faults,
-                            base_maps.as_deref(),
-                            patterns,
-                            seed,
+                            prep, fast_sim, memo, lines, tp, shared, base, faults, patterns, seed,
                             control,
                         );
                     }
@@ -1202,6 +1114,33 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// Per fault of `faults`, whether `patterns` patterns of the scoring
+    /// stream detect it on `circuit`.
+    fn detected_under(circuit: &Circuit, patterns: u64, seed: u64, faults: &[Fault]) -> Vec<bool> {
+        let mut sim = FaultSimulator::new(circuit).unwrap();
+        let mut src = IndependentPatterns::new(circuit.inputs().len(), seed);
+        let run = sim.run(&mut src, patterns, faults).unwrap();
+        (0..faults.len())
+            .map(|i| run.first_detection(i).is_some())
+            .collect()
+    }
+
+    /// The collapsed faults of `c` that the scoring stream leaves
+    /// undetected: what a caller hands the scorer.
+    fn undetected(c: &Circuit, patterns: u64, seed: u64) -> Vec<Fault> {
+        let universe = FaultUniverse::collapsed(c).unwrap();
+        let detected = detected_under(c, patterns, seed, universe.faults());
+        let faults: Vec<Fault> = universe
+            .faults()
+            .iter()
+            .zip(detected)
+            .filter(|&(_, d)| !d)
+            .map(|(&f, _)| f)
+            .collect();
+        assert!(!faults.is_empty(), "{}: needs undetected faults", c.name());
+        faults
+    }
+
     /// Reference scorer: apply the group to a fresh clone and fully
     /// re-simulate every fault; `None` if any point fails to apply.
     fn reference_score(
@@ -1218,10 +1157,50 @@ mod tests {
         for &tp in group {
             apply_test_point(&mut scratch, tp).ok()?;
         }
-        let mut sim = FaultSimulator::new(&scratch).unwrap();
-        let mut src = IndependentPatterns::new(scratch.inputs().len(), seed);
-        let full = sim.run(&mut src, patterns, faults).unwrap();
-        Some(full.detected_count() as u64)
+        let detected = detected_under(&scratch, patterns, seed, faults);
+        Some(detected.iter().filter(|&&d| d).count() as u64)
+    }
+
+    /// Score `groups` over the faults the scoring stream leaves
+    /// undetected on `c`, at each thread count, and compare every score
+    /// with [`reference_score`]. Some group must detect something.
+    fn assert_scores_match_reference(
+        c: &Circuit,
+        groups: &[Vec<TestPoint>],
+        patterns: u64,
+        seed: u64,
+        threads: &[usize],
+    ) {
+        let faults = undetected(c, patterns, seed);
+        let expected: Vec<Option<u64>> = groups
+            .iter()
+            .map(|g| reference_score(c, g, &faults, patterns, seed))
+            .collect();
+        assert!(
+            expected.iter().any(|&d| d > Some(0)),
+            "{}: no group detects anything",
+            c.name()
+        );
+        for &threads in threads {
+            let batch = score_candidate_groups(
+                c,
+                &faults,
+                groups,
+                patterns,
+                seed,
+                SimOptions::default(),
+                threads,
+                &RunControl::unlimited(),
+            )
+            .unwrap();
+            assert!(batch.stopped.is_none());
+            for ((group, score), expected) in groups.iter().zip(&batch.scores).zip(&expected) {
+                assert_eq!(
+                    score.detected, *expected,
+                    "group {group:?} (threads {threads})"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1255,8 +1234,6 @@ mod tests {
     #[test]
     fn batched_counts_match_full_resimulation() {
         let c = sample();
-        let universe = FaultUniverse::collapsed(&c).unwrap();
-        let faults = universe.faults();
         let groups: Vec<Vec<TestPoint>> = c
             .node_ids()
             .flat_map(|n| {
@@ -1265,29 +1242,7 @@ mod tests {
                     .map(move |&k| vec![TestPoint::new(n, k)])
             })
             .collect();
-        let control = RunControl::unlimited();
-        for threads in [1usize, 3] {
-            let batch = score_candidate_groups(
-                &c,
-                faults,
-                &groups,
-                64,
-                7,
-                SimOptions::default(),
-                threads,
-                BaseDetections::Simulate,
-                &control,
-            )
-            .unwrap();
-            assert!(batch.stopped.is_none());
-            for (group, score) in groups.iter().zip(&batch.scores) {
-                assert_eq!(
-                    score.detected,
-                    reference_score(&c, group, faults, 64, 7),
-                    "group {group:?} (threads {threads})"
-                );
-            }
-        }
+        assert_scores_match_reference(&c, &groups, 6, 7, &[1, 3]);
     }
 
     #[test]
@@ -1301,8 +1256,6 @@ mod tests {
         let dead = b.gate(GateKind::Nand, vec![xs[0], xs[2]], "dead").unwrap();
         b.output(g1);
         let c = b.finish().unwrap();
-        let universe = FaultUniverse::collapsed(&c).unwrap();
-        let faults = universe.faults();
         let mut groups: Vec<Vec<TestPoint>> = TestPointKind::ALL
             .iter()
             .map(|&k| vec![TestPoint::new(dead, k)])
@@ -1316,29 +1269,7 @@ mod tests {
             TestPoint::new(g0, TestPointKind::ControlOr),
         ]);
         groups.push(vec![]);
-        let control = RunControl::unlimited();
-        for threads in [1usize, 2] {
-            let batch = score_candidate_groups(
-                &c,
-                faults,
-                &groups,
-                64,
-                11,
-                SimOptions::default(),
-                threads,
-                BaseDetections::Simulate,
-                &control,
-            )
-            .unwrap();
-            assert!(batch.stopped.is_none());
-            for (group, score) in groups.iter().zip(&batch.scores) {
-                assert_eq!(
-                    score.detected,
-                    reference_score(&c, group, faults, 64, 11),
-                    "group {group:?} (threads {threads})"
-                );
-            }
-        }
+        assert_scores_match_reference(&c, &groups, 5, 11, &[1, 2]);
     }
 
     #[test]
@@ -1346,37 +1277,13 @@ mod tests {
         // One candidate per site, kinds rotating, so every control and
         // full group takes the solo path (no merged-run sharing) and
         // observes still read the presence pass.
-        let c = sample();
-        let universe = FaultUniverse::collapsed(&c).unwrap();
-        let faults = universe.faults();
+        let c = awkward();
         let groups: Vec<Vec<TestPoint>> = c
             .node_ids()
             .enumerate()
             .map(|(i, n)| vec![TestPoint::new(n, TestPointKind::ALL[i % 4])])
             .collect();
-        let control = RunControl::unlimited();
-        for threads in [1usize, 2] {
-            let batch = score_candidate_groups(
-                &c,
-                faults,
-                &groups,
-                64,
-                13,
-                SimOptions::default(),
-                threads,
-                BaseDetections::Simulate,
-                &control,
-            )
-            .unwrap();
-            assert!(batch.stopped.is_none());
-            for (group, score) in groups.iter().zip(&batch.scores) {
-                assert_eq!(
-                    score.detected,
-                    reference_score(&c, group, faults, 64, 13),
-                    "group {group:?} (threads {threads})"
-                );
-            }
-        }
+        assert_scores_match_reference(&c, &groups, 64, 13, &[1, 2]);
     }
 
     /// One circuit holding the structures the cut-set argument has to
@@ -1407,38 +1314,15 @@ mod tests {
         b.finish().unwrap()
     }
 
-    /// Score every node × kind of `c` against a full re-simulation of
-    /// the candidate circuit: once in one batch where every site hosts
-    /// all four kinds (merged forcing runs), and once spread over four
-    /// batches with one kind per site (solo runs), under both base
-    /// modes, at one thread and (for the merged batch and one solo
-    /// batch) at two. `AssumeUndetected` scores the faults the scoring
-    /// stream leaves undetected; `Simulate` scores those another stream
-    /// leaves undetected (the from-scratch optimizer's situation), so
-    /// some of them are base-detected. Returns the faults the reach
-    /// filter kept out of runs.
+    /// Score every node × kind of `c`, over the faults the scoring
+    /// stream leaves undetected, against a full re-simulation of the
+    /// candidate circuit: once in one batch where every site hosts all
+    /// four kinds (merged forcing runs), and once spread over four
+    /// batches with one kind per site (solo runs), at one thread and
+    /// (for the merged batch and one solo batch) at two. Returns the
+    /// faults the reach filter kept out of runs.
     fn assert_every_candidate_matches(c: &Circuit, patterns: u64, seed: u64) -> u64 {
-        let universe = FaultUniverse::collapsed(c).unwrap();
-        let detected_under = |circuit: &Circuit, seed: u64, faults: &[Fault]| -> Vec<bool> {
-            let mut sim = FaultSimulator::new(circuit).unwrap();
-            let mut src = IndependentPatterns::new(circuit.inputs().len(), seed);
-            let run = sim.run(&mut src, patterns, faults).unwrap();
-            (0..faults.len())
-                .map(|i| run.first_detection(i).is_some())
-                .collect()
-        };
-        let here = detected_under(c, seed, universe.faults());
-        let elsewhere = detected_under(c, seed ^ 0x5eed, universe.faults());
-        let union: Vec<usize> = (0..universe.len())
-            .filter(|&i| !here[i] || !elsewhere[i])
-            .collect();
-        let union_faults: Vec<Fault> = union.iter().map(|&i| universe.faults()[i]).collect();
-        assert!(
-            union.iter().any(|&i| !here[i]),
-            "{}: needs undetected faults",
-            c.name()
-        );
-
+        let faults = undetected(c, patterns, seed);
         let nodes: Vec<NodeId> = c.node_ids().collect();
         let shared: Vec<Vec<TestPoint>> = nodes
             .iter()
@@ -1448,17 +1332,11 @@ mod tests {
                     .map(move |&k| vec![TestPoint::new(n, k)])
             })
             .collect();
-        // Per candidate, which union faults the candidate circuit
+        // Per candidate, how many scored faults the candidate circuit
         // detects (`None` when the point does not apply).
-        let reference: HashMap<TestPoint, Option<Vec<bool>>> = shared
+        let reference: HashMap<TestPoint, Option<u64>> = shared
             .iter()
-            .map(|g| {
-                let mut scratch = c.clone();
-                let detected = apply_test_point(&mut scratch, g[0])
-                    .ok()
-                    .map(|_| detected_under(&scratch, seed, &union_faults));
-                (g[0], detected)
-            })
+            .map(|g| (g[0], reference_score(c, g, &faults, patterns, seed)))
             .collect();
         let solo = (0..4).map(|shift| {
             nodes
@@ -1471,54 +1349,31 @@ mod tests {
             std::iter::once(shared.clone()).chain(solo).collect();
         let control = RunControl::unlimited();
         let mut filtered = 0;
-        for mode in [BaseDetections::Simulate, BaseDetections::AssumeUndetected] {
-            let member: Vec<bool> = union
-                .iter()
-                .map(|&i| match mode {
-                    BaseDetections::Simulate => !elsewhere[i],
-                    BaseDetections::AssumeUndetected => !here[i],
-                })
-                .collect();
-            let faults: Vec<Fault> = union_faults
-                .iter()
-                .zip(&member)
-                .filter(|&(_, &m)| m)
-                .map(|(&f, _)| f)
-                .collect();
-            for (bi, batch) in batches.iter().enumerate() {
-                let threads: &[usize] = if bi < 2 { &[1, 2] } else { &[1] };
-                for &threads in threads {
-                    let scored = score_candidate_groups(
-                        c,
-                        &faults,
-                        batch,
-                        patterns,
-                        seed,
-                        SimOptions::default(),
-                        threads,
-                        mode,
-                        &control,
-                    )
-                    .unwrap();
-                    assert!(scored.stopped.is_none());
-                    for (group, score) in batch.iter().zip(&scored.scores) {
-                        let expected = reference[&group[0]].as_ref().map(|detected| {
-                            detected
-                                .iter()
-                                .zip(&member)
-                                .filter(|&(&d, &m)| d && m)
-                                .count() as u64
-                        });
-                        assert_eq!(
-                            score.detected,
-                            expected,
-                            "{}: {} ({mode:?}, threads {threads})",
-                            c.name(),
-                            group[0]
-                        );
-                    }
-                    filtered += scored.faults_filtered;
+        for (bi, batch) in batches.iter().enumerate() {
+            let threads: &[usize] = if bi < 2 { &[1, 2] } else { &[1] };
+            for &threads in threads {
+                let scored = score_candidate_groups(
+                    c,
+                    &faults,
+                    batch,
+                    patterns,
+                    seed,
+                    SimOptions::default(),
+                    threads,
+                    &control,
+                )
+                .unwrap();
+                assert!(scored.stopped.is_none());
+                for (group, score) in batch.iter().zip(&scored.scores) {
+                    assert_eq!(
+                        score.detected,
+                        reference[&group[0]],
+                        "{}: {} (threads {threads})",
+                        c.name(),
+                        group[0]
+                    );
                 }
+                filtered += scored.faults_filtered;
             }
         }
         filtered
@@ -1526,10 +1381,11 @@ mod tests {
 
     #[test]
     fn held_blocks_charge_like_the_unfiltered_run() {
-        // Split a fault list into simulated and held faults, run the
-        // first part and finish the block schedule for the second: under
-        // every work budget the pair must stop exactly where a run over
-        // the whole list stops, and leave the budget equally spent.
+        // Split a fault list into simulated faults and held faults that
+        // the stream never detects, run the first part and finish the
+        // block schedule for the second: under every work budget the pair
+        // must stop exactly where a run over the whole list stops, and
+        // leave the budget equally spent.
         let c =
             tpi_gen::dags::random_dag(&tpi_gen::dags::RandomDagConfig::new(16, 120, 4)).unwrap();
         let universe = FaultUniverse::collapsed(&c).unwrap();
@@ -1546,20 +1402,23 @@ mod tests {
                 .unwrap()
         };
         let whole = run(faults, &RunControl::unlimited());
-        let death = |i: usize| whole.result.first_detection(i).unwrap_or(u64::MAX);
-        // Held: every third fault, the hardest ones (which outlive the
-        // simulated part), and the easiest ones (which die first).
-        let hardest = (0..faults.len()).map(death).max().unwrap();
-        let splits: [&dyn Fn(usize) -> bool; 3] =
-            [&|i| i % 3 == 0, &|i| death(i) == hardest, &|i| {
-                death(i) < 64
-            }];
+        let never: Vec<usize> = (0..faults.len())
+            .filter(|&i| whole.result.first_detection(i).is_none())
+            .collect();
+        assert!(never.len() >= 2, "test needs undetected faults");
+        // Held: every undetected fault (the simulated part then ends
+        // early), every other one (it runs to the end itself), or none.
+        let splits: [&dyn Fn(usize) -> bool; 3] = [
+            &|i| never.contains(&i),
+            &|i| never.iter().step_by(2).any(|&n| n == i),
+            &|_| false,
+        ];
         for held in splits {
             let simulated: Vec<Fault> = (0..faults.len())
                 .filter(|&i| !held(i))
                 .map(|i| faults[i])
                 .collect();
-            let hold = (0..faults.len()).filter(|&i| held(i)).map(death).max();
+            let any_held = simulated.len() < faults.len();
             let budgets = (0..=patterns / 64 + 1).flat_map(|k| [64 * k, 64 * k + 1]);
             for budget in budgets.chain([patterns, patterns + 1]) {
                 let alone = RunControl::with_budget(budget);
@@ -1568,7 +1427,14 @@ mod tests {
                 let part = run(&simulated, &paired);
                 let mut counters = part.counters;
                 let stopped = part.stopped.or_else(|| {
-                    charge_held_blocks(counters.blocks, 64, patterns, hold, &paired, &mut counters)
+                    charge_held_blocks(
+                        counters.blocks,
+                        64,
+                        patterns,
+                        any_held,
+                        &paired,
+                        &mut counters,
+                    )
                 });
                 assert_eq!(stopped, expected.stopped, "budget {budget}");
                 assert_eq!(counters.polls, expected.counters.polls, "budget {budget}");
@@ -1597,55 +1463,5 @@ mod tests {
     fn reach_filter_matches_full_resimulation_on_awkward_structure() {
         let filtered = assert_every_candidate_matches(&awkward(), 48, 5);
         assert!(filtered > 0, "the filter never filtered");
-    }
-
-    #[test]
-    fn assume_undetected_matches_simulate_on_undetected_faults() {
-        let c = sample();
-        let universe = FaultUniverse::collapsed(&c).unwrap();
-        let mut sim = FaultSimulator::new(&c).unwrap();
-        let mut src = IndependentPatterns::new(c.inputs().len(), 7);
-        let base = sim.run(&mut src, 6, universe.faults()).unwrap();
-        let undetected: Vec<Fault> = (0..universe.len())
-            .filter(|&i| base.first_detection(i).is_none())
-            .map(|i| universe.faults()[i])
-            .collect();
-        assert!(!undetected.is_empty(), "test needs undetected faults");
-        let groups: Vec<Vec<TestPoint>> = c
-            .node_ids()
-            .flat_map(|n| {
-                TestPointKind::ALL
-                    .iter()
-                    .map(move |&k| vec![TestPoint::new(n, k)])
-            })
-            .collect();
-        let control = RunControl::unlimited();
-        let score = |mode| {
-            score_candidate_groups(
-                &c,
-                &undetected,
-                &groups,
-                6,
-                7,
-                SimOptions::default(),
-                1,
-                mode,
-                &control,
-            )
-            .unwrap()
-        };
-        let assumed = score(BaseDetections::AssumeUndetected);
-        let simulated = score(BaseDetections::Simulate);
-        for (gi, group) in groups.iter().enumerate() {
-            assert_eq!(
-                assumed.scores[gi].detected, simulated.scores[gi].detected,
-                "group {group:?}"
-            );
-            assert_eq!(
-                assumed.scores[gi].detected,
-                reference_score(&c, group, &undetected, 6, 7),
-                "group {group:?}"
-            );
-        }
     }
 }

@@ -67,7 +67,7 @@ pub mod parallel;
 mod patterns;
 mod weighted;
 
-pub use candidate::{score_candidate_groups, BaseDetections, BatchScores, GroupScore};
+pub use candidate::{score_candidate_groups, BatchScores, GroupScore};
 pub use compile::{block_words_supported, DEFAULT_BLOCK_WORDS, MAX_BLOCK_WORDS};
 pub use control::{ControlledRun, RunControl, StopReason};
 pub use coverage::{CoveragePoint, FaultSimResult};

@@ -6,8 +6,8 @@
 //! cargo run --example bist_flow
 //! ```
 
-use krishnamurthy_tpi::core::general::{ConstructiveConfig, ConstructiveOptimizer};
 use krishnamurthy_tpi::core::Threshold;
+use krishnamurthy_tpi::engine::{EngineConfig, OptimizeConfig, TpiEngine};
 use krishnamurthy_tpi::gen::{dags, rpr};
 use krishnamurthy_tpi::netlist::Circuit;
 use krishnamurthy_tpi::sim::{
@@ -49,13 +49,22 @@ fn bist_session(circuit: &Circuit, test_length: u64) -> Result<(), Box<dyn std::
 
     // Phase 2: constructive insertion (fault-sim guided, DP per region).
     let threshold = Threshold::from_test_length(test_length, 0.95)?;
-    let outcome = ConstructiveOptimizer::new(ConstructiveConfig {
-        patterns_per_round: test_length,
-        max_rounds: 8,
-        target_coverage: 0.999,
-        ..ConstructiveConfig::default()
-    })
-    .solve(circuit, threshold)?;
+    let mut engine = TpiEngine::new(
+        circuit.clone(),
+        EngineConfig {
+            patterns: test_length,
+            verify_incremental: false,
+            ..EngineConfig::default()
+        },
+    )?;
+    let outcome = engine.optimize(
+        threshold,
+        &OptimizeConfig {
+            max_rounds: 8,
+            target_coverage: 0.999,
+            ..OptimizeConfig::default()
+        },
+    )?;
     println!("inserted: {}", outcome.plan.describe(circuit));
     for round in &outcome.rounds {
         println!(

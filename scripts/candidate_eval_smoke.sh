@@ -2,12 +2,11 @@
 # Candidate-eval A/B smoke: `tpi insert` must commit bit-identical plans
 # under `--candidate-eval batched` (the default compile-once scorer) and
 # `--candidate-eval legacy` (the clone-and-resimulate oracle), for the
-# engine-backed constructive method, the from-scratch constructive
-# baseline, and the greedy analytic search. Both the printed insertion
-# report (plan, costs, measured coverage) and the written post-insertion
-# netlist are diffed byte-for-byte. The constructive methods also run on
-# a small circuit written below with the structures the batched
-# scorer's cut-set argument has to get right.
+# engine-backed constructive method and the greedy analytic search. Both
+# the printed insertion report (plan, costs, measured coverage) and the
+# written post-insertion netlist are diffed byte-for-byte. The
+# constructive method also runs on a small circuit written below with
+# the structures the batched scorer's cut-set argument has to get right.
 set -euo pipefail
 
 TPI="${TPI:-target/release/tpi}"
@@ -69,11 +68,9 @@ ab() {
   echo "$tag $method: batched ≡ legacy"
 }
 
-for method in constructive constructive-baseline greedy; do
+for method in constructive greedy; do
   ab "$CIRCUIT" "$(basename "$CIRCUIT" .bench)" "$method"
 done
-for method in constructive constructive-baseline; do
-  ab "$dir/awkward.bench" awkward "$method"
-done
+ab "$dir/awkward.bench" awkward constructive
 
 echo "candidate-eval smoke: ok (plans and modified netlists bit-identical)"

@@ -6,7 +6,7 @@
 //!              [--block-words auto|W] [--detection cpt|explicit] [--metrics-out FILE]
 //! tpi insert   <file.bench> [--objective coverage|patterns]
 //!              [--log2-threshold E | --test-length L --confidence C]
-//!              [--method dp|greedy|constructive|constructive-baseline]
+//!              [--method dp|greedy|constructive]
 //!              [--candidate-eval batched|legacy] [--score-threads N]
 //!              [--threads N] [--block-words auto|W] [--detection cpt|explicit]
 //!              [--deadline-ms MS] [--max-points N] [--probe-width N]
@@ -27,14 +27,12 @@
 //! Netlists are ISCAS-85 `.bench` files; `DFF`s are treated as full-scan
 //! pseudo-ports. Every command refuses a `--flag` it does not read.
 //! `insert --method constructive` runs on the incremental [`TpiEngine`]
-//! session; `constructive-baseline` is the from-scratch loop it is
-//! benchmarked against.
+//! session, the same loop `batch` and `serve` run.
 
 use std::process::ExitCode;
 
 use krishnamurthy_tpi::atpg::{redundancy, topoff, PodemConfig};
 use krishnamurthy_tpi::compaction::{PatternsConfig, PatternsOptimizer, SearchTier};
-use krishnamurthy_tpi::core::general::{ConstructiveConfig, ConstructiveOptimizer};
 use krishnamurthy_tpi::core::report::InsertionReport;
 use krishnamurthy_tpi::core::{
     CandidateEval, DpOptimizer, GreedyConfig, GreedyOptimizer, Threshold, TpiProblem,
@@ -105,7 +103,7 @@ fn print_usage() {
          [--block-words auto|W] [--detection cpt|explicit] [--metrics-out FILE]\n  \
          tpi insert   <file.bench> [--objective coverage|patterns]\n           \
          [--log2-threshold E | --test-length L --confidence C]\n           \
-         [--method dp|greedy|constructive|constructive-baseline] [--threads N]\n           \
+         [--method dp|greedy|constructive] [--threads N]\n           \
          [--candidate-eval batched|legacy] [--score-threads N]\n           \
          [--block-words auto|W] [--detection cpt|explicit] [--deadline-ms MS]\n           \
          [--max-points N] [--probe-width N] [--max-backtracks N]\n           \
@@ -278,9 +276,14 @@ fn analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `--threads` default: every available hardware thread.
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+/// `--threads N`: simulation workers, every available hardware thread
+/// by default.
+fn threads_flag(flags: &Flags) -> Result<usize, String> {
+    let default = std::thread::available_parallelism().map_or(1, |n| n.get());
+    match flags.num("threads", default)? {
+        0 => Err("--threads must be ≥ 1".into()),
+        threads => Ok(threads),
+    }
 }
 
 /// `--block-words`: words per simulation block (W×64 patterns per
@@ -344,7 +347,7 @@ fn simulate(args: &[String]) -> Result<(), String> {
     let circuit = load(flags.file()?)?;
     let patterns: u64 = flags.num("patterns", 32_000)?;
     let seed: u64 = flags.num("seed", 1)?;
-    let threads: usize = flags.num("threads", default_threads())?;
+    let threads = threads_flag(&flags)?;
     let options = sim_options_flags(&flags)?;
     let universe = FaultUniverse::collapsed(&circuit).map_err(|e| e.to_string())?;
     let n_inputs = circuit.inputs().len();
@@ -442,7 +445,7 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
         Threshold::from_test_length(length, confidence).map_err(|e| e.to_string())?
     };
     let method = flags.get("method").unwrap_or("dp");
-    let threads: usize = flags.num("threads", default_threads())?;
+    let threads = threads_flag(flags)?;
     // `--candidate-eval`: batched compile-once scoring (default) vs the
     // legacy per-candidate full re-evaluation, kept as the A/B oracle.
     // Both paths select bit-identical plans.
@@ -543,17 +546,6 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
                 stats.faults_skipped,
                 stats.memo_hits
             );
-            interrupted = outcome.interrupted;
-            outcome.plan
-        }
-        "constructive-baseline" => {
-            let outcome = ConstructiveOptimizer::new(ConstructiveConfig {
-                candidate_eval,
-                score_threads,
-                ..ConstructiveConfig::default()
-            })
-            .solve_controlled(&circuit, threshold, &control)
-            .map_err(|e| e.to_string())?;
             interrupted = outcome.interrupted;
             outcome.plan
         }

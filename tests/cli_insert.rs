@@ -6,7 +6,8 @@
 //! faults for `--method constructive`, and for
 //! `tpi atpg` the PODEM work of the redundancy sweep and the top-off
 //! run together. A flag the command does not read — a typo, or one that
-//! no longer exists — is refused before anything runs.
+//! no longer exists — is refused before anything runs, and so are
+//! `--threads 0` and a `--method` the usage text does not list.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -320,5 +321,45 @@ fn the_removed_simd_backend_flag_is_refused() {
             "--simd-backend",
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn zero_threads_are_refused() {
+    let dir = temp_dir("threads");
+    let circuit = dir.join("cone.bench");
+    std::fs::write(&circuit, cone_bench()).unwrap();
+    let path = circuit.to_str().unwrap();
+    for command in ["simulate", "insert"] {
+        let output = tpi(&[command, path, "--threads", "0"]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{command}: {stderr}");
+        assert!(
+            stderr.contains("--threads must be ≥ 1"),
+            "{command}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{command}: nothing may run");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn unlisted_methods_are_refused() {
+    let dir = temp_dir("method");
+    let circuit = dir.join("cone.bench");
+    std::fs::write(&circuit, cone_bench()).unwrap();
+    let path = circuit.to_str().unwrap();
+    let output = tpi(&["insert", path, "--method", "annealing"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("unknown method `annealing`"), "{stderr}");
+    assert!(output.stdout.is_empty(), "nothing may run");
+    // The usage text lists exactly the methods `insert` runs.
+    let help = tpi(&["help"]);
+    let usage = String::from_utf8_lossy(&help.stderr);
+    assert!(
+        usage.contains("[--method dp|greedy|constructive]"),
+        "{usage}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,8 +2,8 @@
 //! → transform → fault-simulate → verify.
 
 use krishnamurthy_tpi::core::evaluate::PlanEvaluator;
-use krishnamurthy_tpi::core::general::{ConstructiveConfig, ConstructiveOptimizer};
 use krishnamurthy_tpi::core::{DpConfig, DpOptimizer, GreedyOptimizer, Threshold, TpiProblem};
+use krishnamurthy_tpi::engine::{EngineConfig, OptimizeConfig, TpiEngine};
 use krishnamurthy_tpi::gen::{benchmarks, rpr, suite};
 use krishnamurthy_tpi::netlist::transform::apply_plan;
 use krishnamurthy_tpi::netlist::{ffr, Topology};
@@ -100,14 +100,18 @@ fn constructive_loop_on_general_circuits() {
     )
     .unwrap();
     for circuit in [benchmarks::c17().unwrap(), dag] {
-        let cfg = ConstructiveConfig {
-            patterns_per_round: 1024,
+        let config = EngineConfig {
+            patterns: 1024,
+            ..EngineConfig::default()
+        };
+        let mut engine = TpiEngine::new(circuit.clone(), config).unwrap();
+        let cfg = OptimizeConfig {
             max_rounds: 6,
             target_coverage: 0.999,
-            ..ConstructiveConfig::default()
+            ..OptimizeConfig::default()
         };
-        let outcome = ConstructiveOptimizer::new(cfg)
-            .solve(&circuit, Threshold::from_test_length(1024, 0.9).unwrap())
+        let outcome = engine
+            .optimize(Threshold::from_test_length(1024, 0.9).unwrap(), &cfg)
             .unwrap();
         assert!(
             outcome.final_coverage >= outcome.rounds[0].coverage,

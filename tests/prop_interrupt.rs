@@ -1,10 +1,11 @@
 //! Property test: interruption yields *anytime* results.
 //!
 //! For any random DAG and any work budget, an interrupted constructive
-//! run returns the exact **prefix** of the uninterrupted run's committed
-//! test points — so the partial plan is (a) valid (applies cleanly and
-//! passes the analytic evaluator) and (b) never costs more than the
-//! uninterrupted plan. Work budgets (unlike wall-clock deadlines) are
+//! run (`TpiEngine::optimize`, a fresh session per run) returns the
+//! exact **prefix** of the uninterrupted run's committed test points —
+//! so the partial plan is (a) valid (applies cleanly and passes the
+//! analytic evaluator) and (b) never costs more than the uninterrupted
+//! plan. Work budgets (unlike wall-clock deadlines) are
 //! charged deterministically in simulated pattern lanes, which also
 //! makes the interruption point — and hence the whole partial plan —
 //! reproducible run over run.
@@ -12,17 +13,26 @@
 use proptest::prelude::*;
 
 use krishnamurthy_tpi::core::evaluate::PlanEvaluator;
-use krishnamurthy_tpi::core::general::{ConstructiveConfig, ConstructiveOptimizer};
+use krishnamurthy_tpi::core::general::ConstructiveOutcome;
 use krishnamurthy_tpi::core::{RunControl, Threshold, TpiProblem};
+use krishnamurthy_tpi::engine::{EngineConfig, OptimizeConfig, TpiEngine};
 use krishnamurthy_tpi::gen::dags::{random_dag, RandomDagConfig};
 use krishnamurthy_tpi::netlist::transform::apply_plan;
+use krishnamurthy_tpi::netlist::Circuit;
 
-fn small_config() -> ConstructiveConfig {
-    ConstructiveConfig {
-        patterns_per_round: 512,
+/// One constructive run on a fresh session under `control`.
+fn optimize(circuit: &Circuit, threshold: Threshold, control: RunControl) -> ConstructiveOutcome {
+    let config = EngineConfig {
+        patterns: 512,
+        ..EngineConfig::default()
+    };
+    let mut engine = TpiEngine::new(circuit.clone(), config).unwrap();
+    engine.set_control(control);
+    let cfg = OptimizeConfig {
         max_rounds: 4,
-        ..ConstructiveConfig::default()
-    }
+        ..OptimizeConfig::default()
+    };
+    engine.optimize(threshold, &cfg).unwrap()
 }
 
 proptest! {
@@ -37,15 +47,11 @@ proptest! {
         cfg.locality = 0.5;
         let circuit = random_dag(&cfg).unwrap();
         let threshold = Threshold::from_log2(-8.0);
-        let optimizer = ConstructiveOptimizer::new(small_config());
 
-        let full = optimizer.solve(&circuit, threshold).unwrap();
+        let full = optimize(&circuit, threshold, RunControl::unlimited());
         prop_assert!(full.interrupted.is_none());
 
-        let control = RunControl::with_budget(budget);
-        let partial = optimizer
-            .solve_controlled(&circuit, threshold, &control)
-            .unwrap();
+        let partial = optimize(&circuit, threshold, RunControl::with_budget(budget));
 
         // Validity: the partial plan applies cleanly to the original
         // circuit and the analytic evaluator accepts it.
@@ -85,9 +91,7 @@ proptest! {
         // Determinism: a work budget trips at the same simulated lane
         // every run, so the same budget reproduces the same partial plan
         // and the same stop reason.
-        let rerun = optimizer
-            .solve_controlled(&circuit, threshold, &RunControl::with_budget(budget))
-            .unwrap();
+        let rerun = optimize(&circuit, threshold, RunControl::with_budget(budget));
         prop_assert_eq!(rerun.interrupted, partial.interrupted);
         prop_assert_eq!(rerun.plan.test_points(), partial.plan.test_points());
     }
