@@ -465,7 +465,9 @@ fn cpt_entry(
 /// group's detected count is asserted identical between the two paths
 /// before any throughput is reported — a wrong but fast scorer must
 /// fail the bench, not win it. Min-of-N (the acceptance ratio is about
-/// unpreempted scoring cost, not shared-host noise).
+/// unpreempted scoring cost, not shared-host noise). Scoring threads
+/// above the host's hardware threads are not timed (as in
+/// `thread_scaling`).
 ///
 /// The section also times the end-to-end engine constructive loop
 /// (`TpiEngine::optimize`, the core of `tpi insert --method
@@ -538,9 +540,13 @@ fn bench_candidate_eval() -> Json {
     });
 
     let control = RunControl::unlimited();
+    let hardware_threads = std::thread::available_parallelism().map_or(1, usize::from);
     let mut batched_by_threads = Vec::new();
     let mut batched_t1_ns = f64::NAN;
-    for threads in [1usize, 4] {
+    for threads in [1usize, 2, 4] {
+        if threads > hardware_threads {
+            continue;
+        }
         let mut scores = Vec::new();
         let ns = time_ns_min(1, MIN_SAMPLES, &mut || {
             let batch = score_candidate_groups(
@@ -634,6 +640,7 @@ fn bench_candidate_eval() -> Json {
         ("patterns", Json::from(patterns)),
         ("undetected_faults", Json::from(undetected.len())),
         ("candidate_groups", Json::from(groups.len())),
+        ("hardware_threads", Json::from(hardware_threads)),
         ("legacy_ns_per_batch", Json::from(legacy_ns)),
         (
             "legacy_candidates_per_sec",
@@ -1034,9 +1041,9 @@ fn smoke() {
         }
     }
     // Batched candidate scoring agrees with the legacy referee loop.
-    // Classify the undetected faults under the *scoring* stream —
-    // `AssumeUndetected` is only sound for faults undetected under the
-    // same source, seed and budget.
+    // Classify the undetected faults under the *scoring* stream: the
+    // scorer only scores faults undetected under the same source, seed
+    // and budget.
     let mut src = IndependentPatterns::new(n_inputs, SEED);
     let base = narrow.run(&mut src, 256, universe.faults()).expect("runs");
     let undetected: Vec<tpi_sim::Fault> = (0..universe.len())

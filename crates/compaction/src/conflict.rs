@@ -16,7 +16,6 @@
 
 use tpi_atpg::TestCube;
 use tpi_netlist::{Circuit, NodeId, Topology};
-use tpi_sim::FaultSite;
 
 use crate::CubeSet;
 
@@ -163,8 +162,7 @@ impl ConflictAnalysis {
                     }
                     if cap == 0 || masks.len() < cap {
                         masks.push(mask);
-                        anchors
-                            .push((fault_anchor(&set.targets[i]), fault_anchor(&set.targets[j])));
+                        anchors.push((set.targets[i].origin(), set.targets[j].origin()));
                     } else {
                         capped = true;
                     }
@@ -209,15 +207,6 @@ impl ConflictAnalysis {
     /// The recorded blocking masks (for tests and diagnostics).
     pub fn conflict_masks(&self) -> &[Bitset] {
         &self.conflict_masks
-    }
-}
-
-/// The propagation anchor of a fault: its stem, or the gate a branch
-/// fault feeds (the effect must propagate through that gate either way).
-fn fault_anchor(fault: &tpi_sim::Fault) -> NodeId {
-    match fault.site {
-        FaultSite::Stem(node) => node,
-        FaultSite::Branch { gate, .. } => gate,
     }
 }
 

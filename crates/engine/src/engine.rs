@@ -12,14 +12,14 @@ use tpi_core::{
     CandidateEval, CostModel, DpConfig, DpOptimizer, Plan, TargetFault, Threshold, TpiError,
     TpiProblem,
 };
-use tpi_netlist::analysis::fanout_cone_mask;
+use tpi_netlist::analysis::dirty_line_mask;
 use tpi_netlist::ffr::FfrDecomposition;
 use tpi_netlist::transform::{apply_test_point, AppliedTestPoint};
 use tpi_netlist::{Circuit, NodeId, TestPoint, TestPointKind, Topology};
 use tpi_obs::{Counter, Histogram, Registry};
 use tpi_sim::{
     score_candidate_groups, BackendChoice, DetectionMode, FaultSimResult, FaultSimulator,
-    FaultSite, FaultUniverse, IndependentPatterns, RunControl, SimOptions, StopReason,
+    FaultUniverse, IndependentPatterns, RunControl, SimOptions, StopReason,
 };
 use tpi_testability::CopAnalysis;
 
@@ -561,7 +561,7 @@ impl TpiEngine {
         let mut dirty_indices: Vec<usize> = Vec::new();
         let mut dirty_faults: Vec<tpi_sim::Fault> = Vec::new();
         for (i, &fault) in self.universe.faults().iter().enumerate() {
-            if dirty[fault_line(&self.circuit, fault).index()] {
+            if dirty[fault.line(&self.circuit).index()] {
                 dirty_indices.push(i);
                 dirty_faults.push(fault);
             }
@@ -934,7 +934,7 @@ impl TpiEngine {
             std::collections::HashMap::new();
         for &fi in undetected {
             let fault = self.universe.faults()[fi];
-            let node = fault_line(&self.circuit, fault);
+            let node = fault.line(&self.circuit);
             region_targets
                 .entry(analyses.ffr.root_of(node))
                 .or_default()
@@ -1086,7 +1086,7 @@ impl TpiEngine {
             let faults: Vec<tpi_sim::Fault> = undetected
                 .iter()
                 .map(|&i| self.universe.faults()[i])
-                .filter(|&f| dirty[fault_line(&scratch, f).index()])
+                .filter(|&f| dirty[f.line(&scratch).index()])
                 .collect();
             if faults.is_empty() {
                 self.metrics
@@ -1181,16 +1181,6 @@ impl TpiEngine {
     }
 }
 
-/// The line a fault's detection is anchored to: its stem, or the driving
-/// line of a branch fault (resolved against the *current* circuit, where
-/// control points may have re-driven the branch).
-fn fault_line(circuit: &Circuit, fault: tpi_sim::Fault) -> NodeId {
-    match fault.site {
-        FaultSite::Stem(node) => node,
-        FaultSite::Branch { gate, pin } => circuit.fanins(gate)[pin as usize],
-    }
-}
-
 /// A region's candidate group: its memoized or freshly solved plan
 /// (extracted-circuit ids) mapped to the parent circuit, with its cost
 /// and benefit-per-cost score. `None` when the region has no plan.
@@ -1273,43 +1263,6 @@ fn keep_best_regions<T, E>(
     });
     ranked.truncate(k);
     Ok((ranked.into_iter().map(|r| r.item.1).collect(), skipped))
-}
-
-/// Node-level dirtiness after an edit that appended nodes `old_nodes..`
-/// and (possibly) tapped `observed` as new primary outputs.
-///
-/// A node is *marked* when its value can differ from the pre-edit circuit:
-/// the forward cone of the appended nodes. A node is *dirty* when the
-/// detection of a fault on its output line can have changed:
-///
-/// * it is marked (excitation may differ), or
-/// * one of its fanins is marked (its input values may differ), or
-/// * it is newly observed (a new output watches it), or
-/// * any consumer is dirty (its propagation paths run through changed
-///   logic or toward a new output).
-///
-/// The last rule makes dirtiness flow *upstream*; evaluating nodes in
-/// reverse topological order resolves it in one pass. Faults on clean
-/// lines provably keep their detection behaviour: no value, sensitization
-/// side-input or observing output anywhere in their cone changed.
-pub fn dirty_line_mask(
-    circuit: &Circuit,
-    topo: &Topology,
-    old_nodes: usize,
-    observed: &[NodeId],
-) -> Vec<bool> {
-    let n = circuit.node_count();
-    let new_nodes: Vec<NodeId> = (old_nodes..n).map(NodeId::from_index).collect();
-    let marked = fanout_cone_mask(circuit, topo, &new_nodes);
-    let mut dirty = vec![false; n];
-    for &id in topo.order().iter().rev() {
-        let i = id.index();
-        let seeded = marked[i]
-            || observed.contains(&id)
-            || circuit.fanins(id).iter().any(|f| marked[f.index()]);
-        dirty[i] = seeded || topo.fanouts(id).iter().any(|fo| dirty[fo.gate.index()]);
-    }
-    dirty
 }
 
 #[cfg(test)]

@@ -11,14 +11,15 @@
 //!   invalidation);
 //! * **Dirty-cone incremental re-simulation** — after a test-point
 //!   insertion, only faults structurally entangled with the edit are
-//!   re-simulated ([`dirty_line_mask`] documents the rule); the merged
-//!   result is bit-identical to a from-scratch run, provable at runtime
-//!   via [`EngineConfig::verify_incremental`];
+//!   re-simulated ([`dirty_line_mask`](tpi_netlist::analysis::dirty_line_mask)
+//!   documents the rule); the merged result is bit-identical to a
+//!   from-scratch run, provable at runtime via
+//!   [`EngineConfig::verify_incremental`];
 //! * **DP memoization** — region subproblems are fingerprinted and their
 //!   solutions replayed across rounds and edits;
 //! * **Batch/serve front ends** — [`batch`] runs N×M job manifests across
 //!   a worker pool with per-job timeout and panic isolation, emitting
-//!   JSONL; [`serve`] speaks line-delimited JSON over stdin/stdout for
+//!   JSONL; [`serve`] answers line-delimited JSON requests for
 //!   long-running driver processes. Both rest on the dependency-free
 //!   [`json`] module.
 //! * **Crash-safe sharded execution** — [`schema`] owns the versioned
@@ -58,6 +59,6 @@ mod memo;
 pub mod schema;
 pub mod serve;
 
-pub use engine::{dirty_line_mask, Analyses, EngineConfig, EngineStats, OptimizeConfig, TpiEngine};
+pub use engine::{Analyses, EngineConfig, EngineStats, OptimizeConfig, TpiEngine};
 pub use memo::{SharedDpMemo, SharedMemoConfig};
 pub use tpi_sim::{RunControl, StopReason};

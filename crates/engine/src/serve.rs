@@ -1,9 +1,10 @@
-//! The line-delimited JSON session server behind `tpi serve`.
+//! The line-delimited JSON session protocol behind `tpi serve`.
 //!
-//! One request per line on stdin, one response per line on stdout — the
-//! engine session (and all of its caches) persists across requests, so a
-//! driving process pays for analyses and full simulation once and for
-//! incremental work afterwards.
+//! [`ServeState`] answers one request line with one response line; the
+//! `tpi-server` crate runs it over stdin/stdout and over sockets. The
+//! engine session (and all of its caches) persists across requests, so
+//! a driving process pays for analyses and full simulation once and
+//! for incremental work afterwards.
 //!
 //! Requests (`cmd` — `method` is accepted as an alias — selects the
 //! operation):
@@ -46,7 +47,6 @@
 //!   pattern budget; a request beyond a cap is rejected with code
 //!   `"limit_exceeded"` before any work happens.
 
-use std::io::{BufRead, Write};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -561,60 +561,6 @@ fn error_json(e: ServeError) -> Json {
     ])
 }
 
-/// Serve requests from `input` until EOF, a `quit`, or an acknowledged
-/// `shutdown`, writing responses (and flushing after each, so pipes stay
-/// interactive) to `output`. Default (uncapped) [`ServeLimits`].
-///
-/// # Errors
-///
-/// Only I/O failures on the streams.
-pub fn serve(input: impl BufRead, output: impl Write) -> std::io::Result<()> {
-    serve_with(ServeLimits::default(), input, output)
-}
-
-/// [`serve`] with explicit resource caps.
-///
-/// # Errors
-///
-/// Only I/O failures on the streams.
-pub fn serve_with(
-    limits: ServeLimits,
-    input: impl BufRead,
-    output: impl Write,
-) -> std::io::Result<()> {
-    serve_session(&mut ServeState::with_limits(limits), input, output)
-}
-
-/// Drive a caller-constructed [`ServeState`] over a request/response
-/// stream pair until EOF, `quit` or an acknowledged `shutdown`. Front
-/// ends that need a shared registry or a cross-session memo build the
-/// state with [`ServeState::with_shared`] and hand it here; the state
-/// stays inspectable afterwards (e.g. for a final metrics snapshot).
-///
-/// # Errors
-///
-/// Only I/O failures on the streams.
-pub fn serve_session(
-    state: &mut ServeState,
-    input: impl BufRead,
-    mut output: impl Write,
-) -> std::io::Result<()> {
-    for line in input.lines() {
-        let line = line?;
-        match state.handle_line(&line) {
-            Some(response) => {
-                writeln!(output, "{response}")?;
-                output.flush()?;
-            }
-            None => break,
-        }
-        if state.finished() {
-            break;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -913,31 +859,27 @@ mod tests {
 
     #[test]
     fn shutdown_acks_then_stops_the_loop() {
-        let script = format!(
-            "{{\"cmd\":\"load\",\"bench\":\"{BENCH}\"}}\n{{\"method\":\"shutdown\"}}\n{{\"cmd\":\"coverage\"}}\n"
-        );
-        let mut out = Vec::new();
-        serve(script.as_bytes(), &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        // The in-flight request is answered, the shutdown acknowledged,
-        // the post-shutdown request never processed.
-        assert_eq!(lines.len(), 2);
-        assert_eq!(
-            ok(lines[1]).get("shutdown").and_then(Json::as_bool),
-            Some(true)
-        );
+        let mut state = ServeState::new();
+        ok(&state
+            .handle_line(&format!(r#"{{"cmd":"load","bench":"{BENCH}"}}"#))
+            .unwrap());
+        assert!(!state.finished());
+        let ack = ok(&state.handle_line(r#"{"method":"shutdown"}"#).unwrap());
+        assert_eq!(ack.get("shutdown").and_then(Json::as_bool), Some(true));
+        // The acknowledgement is written, then the front end stops
+        // reading: no later request is processed.
+        assert!(state.finished());
     }
 
     #[test]
     fn serve_loop_reads_until_quit() {
-        let script = format!(
-            "{{\"cmd\":\"load\",\"bench\":\"{BENCH}\"}}\n{{\"cmd\":\"coverage\"}}\n{{\"cmd\":\"quit\"}}\n{{\"cmd\":\"coverage\"}}\n"
-        );
-        let mut out = Vec::new();
-        serve(script.as_bytes(), &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
-        // Two responses; the post-quit request is never processed.
-        assert_eq!(text.lines().count(), 2);
+        let mut state = ServeState::new();
+        ok(&state
+            .handle_line(&format!(r#"{{"cmd":"load","bench":"{BENCH}"}}"#))
+            .unwrap());
+        ok(&state.handle_line(r#"{"cmd":"coverage"}"#).unwrap());
+        assert!(!state.finished());
+        // `quit` gets no response: the front end stops reading there.
+        assert!(state.handle_line(r#"{"cmd":"quit"}"#).is_none());
     }
 }

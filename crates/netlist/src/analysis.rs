@@ -129,6 +129,43 @@ pub fn fanout_cone_mask(circuit: &Circuit, topo: &Topology, roots: &[NodeId]) ->
     seen
 }
 
+/// Node-level dirtiness after an edit that appended nodes `old_nodes..`
+/// and (possibly) tapped `observed` as new primary outputs.
+///
+/// A node is *marked* when its value can differ from the pre-edit circuit:
+/// the forward cone of the appended nodes. A node is *dirty* when the
+/// detection of a fault on its output line can have changed:
+///
+/// * it is marked (excitation may differ), or
+/// * one of its fanins is marked (its input values may differ), or
+/// * it is newly observed (a new output watches it), or
+/// * any consumer is dirty (its propagation paths run through changed
+///   logic or toward a new output).
+///
+/// The last rule makes dirtiness flow *upstream*; evaluating nodes in
+/// reverse topological order resolves it in one pass. Faults on clean
+/// lines provably keep their detection behaviour: no value, sensitization
+/// side-input or observing output anywhere in their cone changed.
+pub fn dirty_line_mask(
+    circuit: &Circuit,
+    topo: &Topology,
+    old_nodes: usize,
+    observed: &[NodeId],
+) -> Vec<bool> {
+    let n = circuit.node_count();
+    let new_nodes: Vec<NodeId> = (old_nodes..n).map(NodeId::from_index).collect();
+    let marked = fanout_cone_mask(circuit, topo, &new_nodes);
+    let mut dirty = vec![false; n];
+    for &id in topo.order().iter().rev() {
+        let i = id.index();
+        let seeded = marked[i]
+            || observed.contains(&id)
+            || circuit.fanins(id).iter().any(|f| marked[f.index()]);
+        dirty[i] = seeded || topo.fanouts(id).iter().any(|fo| dirty[fo.gate.index()]);
+    }
+    dirty
+}
+
 /// Primary outputs reachable from `root`.
 pub fn reachable_outputs(circuit: &Circuit, topo: &Topology, root: NodeId) -> Vec<NodeId> {
     let cone = fanout_cone(circuit, topo, root);

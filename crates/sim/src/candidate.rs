@@ -40,54 +40,42 @@
 //!   simulation. Undetected faults propagate barely at all (that is
 //!   *why* they are undetected), so the pass costs a fraction of one
 //!   ordinary fault-sim run;
-//! * one **merged forcing run** per site scores the remaining three
-//!   kinds. Driving *both* mux enables with the candidate stream
-//!   (`a = b = r`) makes the mux output `r` on every lane: the
-//!   site is forced to 0 exactly on an AND point's forcing lanes
-//!   (`r = 0`), to 1 exactly on an OR point's (`r = 1`), and the
-//!   consumers see the fresh-input stream `r` on *all* lanes — which
-//!   is precisely the full point's cut. One no-dropping bitmap run
-//!   ([`FaultSimulator::run_bitmaps`]) therefore yields per-lane
-//!   detection words `d(f)` from which all three candidates read off
-//!   their counts:
-//!
-//!   | kind         | detected(f)                    |
-//!   |--------------|--------------------------------|
-//!   | `ControlAnd` | `d(f) ∧ ¬r ≠ 0`                |
-//!   | `ControlOr`  | `d(f) ∧ r ≠ 0`                 |
-//!   | `Full`       | `d(f) ≠ 0  ∨  present-at-v(f)` |
-//!
-//!   On a control point's non-forcing lanes the inserted gate is an
-//!   identity buffer — good values, fault excitation and propagation
-//!   are bit-identical to the base circuit, which detects none of the
-//!   scored faults — so only the forcing lanes can add detections. The
-//!   full point's tap term reuses the presence pass: `v`'s fanin cone
-//!   is upstream of the cut (the circuit is acyclic), so the effect
-//!   reaches `v` in the cut circuit iff it does in the base circuit;
-//! * the merged run only pays off when several candidates split it. A
-//!   site hosting a *single* control or full candidate takes a
-//!   narrower solo run instead: a control point re-simulates only its
-//!   forcing lanes, compacted into dense pattern words (~half the
-//!   budget under the unbiased stream), and a full point re-simulates
-//!   only the faults *not* present at the site (those are detected
-//!   via the tap regardless of the cut), with dropping;
-//! * every control/full run — merged or solo — simulates only the
-//!   faults that can detect differently. A point at `v` changes values
-//!   only in `FO⁺(v)`, the nodes strictly downstream of `v`, and a
-//!   fault's effect can only enter `FO⁺(v)` through the cut set
+//! * one **forcing run** per control or full candidate, with dropping,
+//!   on the shared simulator. A control point re-simulates only its
+//!   forcing lanes, where its control stream overrides the site (`r = 0`
+//!   for an AND point, `r = 1` for an OR point), compacted into dense
+//!   pattern words (about half the budget under the unbiased stream),
+//!   with the mux forcing the site (`a = 0` or `b = 1`). On the other
+//!   lanes the inserted gate is an identity buffer — good values, fault
+//!   excitation and propagation are bit-identical to the base circuit,
+//!   which detects none of the scored faults — so only the forcing lanes
+//!   can add detections. A full point drives `a = 0`, `b = r`: the
+//!   consumers see the fresh-input stream `r` on every lane, which is
+//!   the full point's cut. A fault whose effect reaches `v` is detected
+//!   by the full point's tap whatever the cut does (`v`'s fanin cone is
+//!   upstream of the cut, so the effect reaches `v` in the cut circuit
+//!   iff it does in the base circuit); the presence pass counts those,
+//!   and the run re-simulates only the rest;
+//! * every control/full run simulates only the faults that can detect
+//!   differently. A point at `v` changes values only in `FO⁺(v)`, the
+//!   nodes strictly downstream of `v`, and a fault's effect can only
+//!   enter `FO⁺(v)` through the cut set
 //!   `S(v) = ({v} ∪ fanins of FO⁺(v)) \ FO⁺(v)`. So the presence pass
-//!   also records, per (fault, site), whether the effect reaches
-//!   `S(v) \ {v}`; with the presence bit at `v` that covers `S(v)`. A
-//!   fault anchored outside `FO⁺(v)` whose effect never reaches `S(v)`
-//!   sees good values and a faulty cone that are identical to the base
-//!   circuit's on every lane (induction in topological order: outside
-//!   `FO⁺(v)` the fanins are unchanged; inside, every fanin either lies
-//!   in `FO⁺(v)` or in `S(v)`, and neither carries its effect), so it
-//!   stays undetected. A full point drops `v` from the set: a fault
-//!   reaching `v` is tap-detected whatever the cut does. The filtered
-//!   faults still count towards the run's block schedule under a work
-//!   budget (see `charge_held_blocks`), so the token is polled and
-//!   charged exactly as by an unfiltered run.
+//!   also records, per (fault, site), whether the effect reaches a side
+//!   input `S(v) \ {v}`. A fault anchored outside `FO⁺(v)` whose effect
+//!   reaches no node of `S(v)` sees good values and a faulty cone that
+//!   are identical to the base circuit's on every lane (induction in
+//!   topological order: outside `FO⁺(v)` the fanins are unchanged;
+//!   inside, every fanin either lies in `FO⁺(v)` or in `S(v)`, and
+//!   neither carries its effect), so it stays undetected. One that
+//!   reaches `v` but no side input stays undetected as well: a control
+//!   point blocks the effect at `v` on its forcing lanes and replays the
+//!   base circuit on the others, and a full point's tap has already
+//!   counted it. So a run keeps a fault only if it is anchored in
+//!   `FO⁺(v)` or reaches a side input. The filtered faults still count
+//!   towards the run's block schedule under a work budget (see
+//!   `charge_held_blocks`), so the token is polled and charged exactly
+//!   as by an unfiltered run.
 //!
 //! Multi-point groups (and any group the augmented build cannot cover)
 //! fall back to the legacy path: clone, apply, compile, and re-simulate
@@ -117,13 +105,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use tpi_netlist::analysis::fanout_cone_mask;
+use tpi_netlist::analysis::{dirty_line_mask, fanout_cone_mask};
 use tpi_netlist::transform::apply_test_point;
 use tpi_netlist::{Circuit, NetlistError, NodeId, TestPoint, TestPointKind, Topology};
 
 use crate::compile::MAX_BLOCK_WORDS;
 use crate::control::{RunControl, StopReason};
-use crate::fault::{Fault, FaultSite};
+use crate::fault::Fault;
 use crate::fsim::{FaultSimulator, SimOptions};
 use crate::metrics::SimCounters;
 use crate::patterns::{IndependentPatterns, PatternSource};
@@ -150,9 +138,7 @@ pub struct BatchScores {
     /// Kernel counters merged over the presence pass and every group run.
     pub counters: SimCounters,
     /// Scored faults the reach filter left out of control/full runs,
-    /// summed over the candidates those runs scored (a merged run counts
-    /// once per candidate reading it, so the sum does not depend on the
-    /// schedule).
+    /// summed over those runs.
     pub faults_filtered: u64,
 }
 
@@ -205,40 +191,6 @@ fn group_applies(circuit: &Circuit, topo: &Topology, group: &[TestPoint]) -> boo
         }
     }
     true
-}
-
-/// Node-level dirtiness after applying a candidate group that appended
-/// nodes `old_nodes..` and tapped `observed` as new outputs: the same
-/// upstream-flowing mask the incremental engine uses. A fault anchored
-/// on a clean line provably keeps its detection behaviour — no value,
-/// sensitization side-input or observing output in its cone changed.
-fn dirty_lines(
-    circuit: &Circuit,
-    topo: &Topology,
-    old_nodes: usize,
-    observed: &[NodeId],
-) -> Vec<bool> {
-    let n = circuit.node_count();
-    let new_nodes: Vec<NodeId> = (old_nodes..n).map(NodeId::from_index).collect();
-    let marked = fanout_cone_mask(circuit, topo, &new_nodes);
-    let mut dirty = vec![false; n];
-    for &id in topo.order().iter().rev() {
-        let i = id.index();
-        let seeded = marked[i]
-            || observed.contains(&id)
-            || circuit.fanins(id).iter().any(|f| marked[f.index()]);
-        dirty[i] = seeded || topo.fanouts(id).iter().any(|fo| dirty[fo.gate.index()]);
-    }
-    dirty
-}
-
-/// The line a fault's detection is anchored to, resolved against the
-/// candidate circuit (control points may have re-driven a branch).
-fn fault_anchor(circuit: &Circuit, fault: Fault) -> NodeId {
-    match fault.site {
-        FaultSite::Stem(node) => node,
-        FaultSite::Branch { gate, pin } => circuit.fanins(gate)[pin as usize],
-    }
 }
 
 /// Per-word masks selecting the first `patterns` lanes.
@@ -326,7 +278,7 @@ struct FastPrep {
     /// Word streams in augmented-input order under which the augmented
     /// circuit replays the base circuit bit-exactly: base inputs carry
     /// their [`IndependentPatterns`] words, every `a` enable is
-    /// all-ones, every `b`/`o` enable all-zeros.
+    /// all-ones, every `b` enable all-zeros.
     passthrough: Vec<Vec<u64>>,
     /// Base-circuit primary-input count — also the input index (and
     /// therefore the stream) of the one auxiliary input any single
@@ -372,28 +324,13 @@ impl FastPrep {
     }
 
     /// Whether fault `fi` can detect differently once site `si` carries
-    /// a control point (`through_site`) or a full point: it sits inside
-    /// `FO⁺(v)`, or its effect reaches the cut set — `v` itself counts
-    /// for a control point only (see module docs). Without a presence
-    /// pass (a controls-only batch) every fault can.
-    ///
-    /// The `v` term is conservative under the scorer's contract: a
-    /// scored fault that reaches `v` but no side input is blocked at `v`
-    /// on a control point's forcing lanes and unchanged on its other
-    /// lanes, so it stays undetected either way.
-    fn may_change(&self, fi: usize, fault: Fault, si: usize, through_site: bool) -> bool {
-        if self.presence.is_empty() {
-            return true;
-        }
-        // The node the fault's effect first appears on: its stem, or
-        // the gate whose input pin it sits on.
-        let origin = match fault.site {
-            FaultSite::Stem(node) => node,
-            FaultSite::Branch { gate, .. } => gate,
-        };
-        self.bit(&self.cone, origin.index(), si)
+    /// a control or full point: its origin lies in `FO⁺(v)`, or its
+    /// effect reaches a side input of the cut set (see module docs).
+    /// Without a presence pass (a controls-only batch) every fault can.
+    fn may_change(&self, fi: usize, fault: Fault, si: usize) -> bool {
+        self.reach.is_empty()
+            || self.bit(&self.cone, fault.origin().index(), si)
             || self.bit(&self.reach, fi, si)
-            || (through_site && self.present(fi, si))
     }
 
     /// Fill the presence and reach matrices: one explicit-propagation
@@ -609,15 +546,6 @@ impl GroupEval {
     }
 }
 
-/// A schedule lane's cache of its most recent merged forcing run:
-/// `(site, per-fault detection words)`, `None` for a fault the reach
-/// filter left out of the run (it detects nothing). Candidate kinds of
-/// one site typically arrive adjacently in a batch, so a depth-1 cache
-/// captures the sharing while bounding memory at one site's bitmaps per
-/// worker (an unbounded map would hold `sites × faults × words` on
-/// full-circuit sweeps).
-type MergedMemo = Option<(NodeId, Vec<Option<Vec<u64>>>)>;
-
 /// Finish the block schedule that a dropping run over the unfiltered
 /// fault list would have followed, after the filtered run executed
 /// `blocks` blocks of `block_lanes` lanes.
@@ -687,24 +615,18 @@ fn run_dropping(
 }
 
 /// Score one valid single-point candidate from the batch-shared passes
-/// (the per-kind formulas and their soundness arguments are laid out in
-/// the module docs). Observe candidates read the presence matrix and
-/// run nothing. Control and full candidates at a `shared` site (two or
-/// more of them in the batch) split one merged forcing run, lazily
-/// executed on this lane's `sim` clone and cached in `memo`; a lone
-/// candidate instead takes the narrower run its kind permits — forcing
-/// lanes only for a control point, non-present faults with dropping
-/// for a full point — which costs less than a merged run nobody else
-/// will read. Every run leaves out the faults the reach filter proves
-/// unchanged; they stay undetected.
+/// (the per-kind arguments are laid out in the module docs). Observe
+/// candidates read the presence matrix and run nothing. A control point
+/// runs its forcing lanes only, and a full point the faults not present
+/// at its site, each with dropping on this lane's `sim` clone and
+/// without the faults the reach filter proves unchanged; those stay
+/// undetected.
 #[allow(clippy::too_many_arguments)]
 fn eval_fast(
     prep: &FastPrep,
     fast_sim: &mut Option<FaultSimulator>,
-    memo: &mut MergedMemo,
     lines: SiteLines,
     tp: TestPoint,
-    shared: bool,
     base: &Circuit,
     faults: &[Fault],
     patterns: u64,
@@ -730,148 +652,74 @@ fn eval_fast(
     let r: Vec<u64> = (0..pw)
         .map(|w| IndependentPatterns::word(seed, aux, w as u64))
         .collect();
-    // Forcing lanes of a control point: where its control stream
-    // overrides the site (`r = 0` for an AND point, `r = 1` for an OR
-    // point). On the complementary (transparent) lanes the inserted gate
-    // is an identity buffer, so the candidate detects there exactly what
-    // the base circuit detects: nothing.
-    let forcing_and = tp.kind == TestPointKind::ControlAnd;
-    let forcing = |rw: u64| if forcing_and { !rw } else { rw };
-    if !shared {
-        let mut pre = 0u64;
-        let mut filtered = 0u64;
-        let mut run_faults: Vec<Fault> = Vec::new();
-        let mut src = match tp.kind {
-            TestPointKind::Observe => unreachable!("handled above"),
-            TestPointKind::ControlAnd | TestPointKind::ControlOr => {
-                let tail = tail_masks(patterns, pw);
-                let sel: Vec<u64> = (0..pw).map(|w| forcing(r[w]) & tail[w]).collect();
-                let m: u64 = sel.iter().map(|w| u64::from(w.count_ones())).sum();
-                if m == 0 {
-                    return Ok(GroupEval::done(0, counters, 0));
-                }
-                for (fi, &f) in faults.iter().enumerate() {
-                    if prep.may_change(fi, f, si, true) {
-                        run_faults.push(f);
-                    } else {
-                        filtered += 1;
-                    }
-                }
-                let out_words = m.div_ceil(64) as usize;
-                let mut streams: Vec<Vec<u64>> = prep
-                    .passthrough
-                    .iter()
-                    .map(|s| compact_words(s, &sel, out_words))
-                    .collect();
-                if forcing_and {
-                    streams[a] = vec![0u64; out_words];
-                } else {
-                    streams[b] = vec![!0u64; out_words];
-                }
-                PackedSource {
-                    streams,
-                    patterns: m,
-                    word: 0,
-                }
-            }
-            TestPointKind::Full => {
-                // Faults already present at the site are detected via
-                // the tap no matter what the cut does; of the rest, only
-                // those the cut can change need the cut circuit
-                // simulated (with dropping — the per-lane split of the
-                // merged run is not needed here).
-                for (fi, &f) in faults.iter().enumerate() {
-                    if prep.present(fi, si) {
-                        pre += 1;
-                    } else if prep.may_change(fi, f, si, false) {
-                        run_faults.push(f);
-                    } else {
-                        filtered += 1;
-                    }
-                }
-                let mut streams = prep.passthrough.clone();
-                streams[a] = vec![0u64; pw];
-                streams[b] = r.clone();
-                PackedSource {
-                    streams,
-                    patterns,
-                    word: 0,
-                }
-            }
-        };
-        if run_faults.is_empty() && filtered == 0 {
-            return Ok(GroupEval::done(pre, counters, 0));
+    let full = tp.kind == TestPointKind::Full;
+    // A full point's tap detects the faults present at its site whatever
+    // the cut does.
+    let mut pre = 0u64;
+    let mut filtered = 0u64;
+    let mut run_faults: Vec<Fault> = Vec::new();
+    for (fi, &f) in faults.iter().enumerate() {
+        if full && prep.present(fi, si) {
+            pre += 1;
+        } else if prep.may_change(fi, f, si) {
+            run_faults.push(f);
+        } else {
+            filtered += 1;
         }
-        let run = run_dropping(
-            prep,
-            fast_sim,
-            &mut src,
-            &run_faults,
-            filtered > 0,
-            control,
-            &mut counters,
-        )?;
-        return Ok(match run {
-            Ok(detected) => GroupEval::done(pre + detected, counters, filtered),
-            Err(reason) => GroupEval::stopped(reason, counters),
-        });
     }
-    if memo.as_ref().map(|(v, _)| *v) != Some(tp.node) {
-        let keep: Vec<bool> = faults
-            .iter()
-            .enumerate()
-            .map(|(fi, &f)| prep.may_change(fi, f, si, true))
-            .collect();
-        let run_faults: Vec<Fault> = faults
-            .iter()
-            .zip(&keep)
-            .filter(|&(_, &k)| k)
-            .map(|(&f, _)| f)
-            .collect();
+    let mut src = if full {
         let mut streams = prep.passthrough.clone();
-        streams[a] = r.clone();
-        streams[b] = r.clone();
-        let mut src = PackedSource {
+        streams[a] = vec![0u64; pw];
+        streams[b] = r;
+        PackedSource {
             streams,
             patterns,
             word: 0,
-        };
-        // Runs even when every fault is filtered: a bitmap run polls and
-        // charges every block regardless of its fault list.
-        let sim = fast_sim.get_or_insert_with(|| prep.sim.clone());
-        let run = sim.run_bitmaps(&mut src, patterns, &run_faults, control)?;
-        counters.merge(&run.counters);
-        if let Some(reason) = run.stopped {
-            return Ok(GroupEval::stopped(reason, counters));
         }
-        let mut maps = run.maps.into_iter();
-        let rows = keep
+    } else {
+        // Forcing lanes: where the control stream overrides the site
+        // (`r = 0` for an AND point, `r = 1` for an OR point).
+        let forcing_and = tp.kind == TestPointKind::ControlAnd;
+        let forcing = |rw: u64| if forcing_and { !rw } else { rw };
+        let tail = tail_masks(patterns, pw);
+        let sel: Vec<u64> = (0..pw).map(|w| forcing(r[w]) & tail[w]).collect();
+        let m: u64 = sel.iter().map(|w| u64::from(w.count_ones())).sum();
+        if m == 0 {
+            return Ok(GroupEval::done(0, counters, 0));
+        }
+        let out_words = m.div_ceil(64) as usize;
+        let mut streams: Vec<Vec<u64>> = prep
+            .passthrough
             .iter()
-            .map(|&k| if k { maps.next() } else { None })
+            .map(|s| compact_words(s, &sel, out_words))
             .collect();
-        *memo = Some((tp.node, rows));
-    }
-    let rows = &memo.as_ref().expect("merged run just cached").1;
-    let filtered = rows.iter().filter(|row| row.is_none()).count() as u64;
-    // A filtered fault has no words: it detects nothing. The merged
-    // detection words are lane-masked to the pattern budget, so `∧ r`
-    // needs no tail mask.
-    let words = |fi: usize| -> &[u64] { rows[fi].as_deref().unwrap_or(&[]) };
-    let detected = match tp.kind {
-        TestPointKind::Observe => unreachable!("handled above"),
-        TestPointKind::ControlAnd | TestPointKind::ControlOr => (0..faults.len())
-            .filter(|&fi| {
-                words(fi)
-                    .iter()
-                    .zip(&r)
-                    .any(|(&d, &rw)| d & forcing(rw) != 0)
-            })
-            .count() as u64,
-        TestPointKind::Full => (0..faults.len())
-            .filter(|&fi| words(fi).iter().any(|&d| d != 0) || prep.present(fi, si))
-            .count() as u64,
+        if forcing_and {
+            streams[a] = vec![0u64; out_words];
+        } else {
+            streams[b] = vec![!0u64; out_words];
+        }
+        PackedSource {
+            streams,
+            patterns: m,
+            word: 0,
+        }
     };
-    Ok(GroupEval::done(detected, counters, filtered))
+    if run_faults.is_empty() && filtered == 0 {
+        return Ok(GroupEval::done(pre, counters, 0));
+    }
+    let run = run_dropping(
+        prep,
+        fast_sim,
+        &mut src,
+        &run_faults,
+        filtered > 0,
+        control,
+        &mut counters,
+    )?;
+    Ok(match run {
+        Ok(detected) => GroupEval::done(pre + detected, counters, filtered),
+        Err(reason) => GroupEval::stopped(reason, counters),
+    })
 }
 
 /// Score every candidate group by faults detected within `patterns`
@@ -934,17 +782,6 @@ pub fn score_candidate_groups(
         }
     }
     let fast = fast;
-    // Sites hosting two or more control/full fast-path candidates split
-    // one merged forcing run; a lone candidate takes its narrower solo
-    // run instead (see `eval_fast`).
-    let mut mux_groups: HashMap<NodeId, u32> = HashMap::new();
-    if fast.is_some() {
-        for (g, &ok) in groups.iter().zip(&valid) {
-            if ok && g.len() == 1 && g[0].kind != TestPointKind::Observe {
-                *mux_groups.entry(g[0].node).or_insert(0) += 1;
-            }
-        }
-    }
 
     let eval_group = |gi: usize| -> Result<GroupEval, NetlistError> {
         let mut counters = SimCounters::default();
@@ -971,12 +808,12 @@ pub fn score_candidate_groups(
             }
         }
         let scratch_topo = Topology::of(&scratch)?;
-        let dirty = dirty_lines(&scratch, &scratch_topo, old_nodes, &observed);
-        // A clean fault stays undetected (see `dirty_lines`).
+        let dirty = dirty_line_mask(&scratch, &scratch_topo, old_nodes, &observed);
+        // A fault on a clean line stays undetected (see `dirty_line_mask`).
         let dirty_faults: Vec<Fault> = faults
             .iter()
             .copied()
-            .filter(|&f| dirty[fault_anchor(&scratch, f).index()])
+            .filter(|&f| dirty[f.line(&scratch).index()])
             .collect();
         if dirty_faults.is_empty() {
             return Ok(GroupEval::done(0, counters, 0));
@@ -998,20 +835,15 @@ pub fn score_candidate_groups(
     // Fast path for valid single-point groups; everything else takes
     // the legacy clone-and-resimulate path. `fast_sim` is each
     // schedule lane's lazily-cloned copy of the compiled augmented
-    // simulator, `memo` its cached merged forcing run.
-    let eval_any = |gi: usize,
-                    fast_sim: &mut Option<FaultSimulator>,
-                    memo: &mut MergedMemo|
-     -> Result<GroupEval, NetlistError> {
+    // simulator.
+    let eval_any = |gi: usize, fast_sim: &mut Option<FaultSimulator>| {
         if let Some(prep) = &fast {
             if valid[gi] && groups[gi].len() == 1 {
                 let tp = groups[gi][0];
                 if let Some(&lines) = prep.sites.get(&tp.node) {
                     if tp.kind == TestPointKind::Observe || lines.a.is_some() {
-                        let shared = mux_groups.get(&tp.node).copied().unwrap_or(0) >= 2;
                         return eval_fast(
-                            prep, fast_sim, memo, lines, tp, shared, base, faults, patterns, seed,
-                            control,
+                            prep, fast_sim, lines, tp, base, faults, patterns, seed, control,
                         );
                     }
                 }
@@ -1025,10 +857,9 @@ pub fn score_candidate_groups(
     let threads = threads.max(1).min(groups.len().max(1));
     if threads == 1 {
         let mut fast_sim: Option<FaultSimulator> = None;
-        let mut memo: MergedMemo = None;
         for (gi, slot) in scores.iter_mut().enumerate() {
             let start = Instant::now();
-            let eval = eval_any(gi, &mut fast_sim, &mut memo)?;
+            let eval = eval_any(gi, &mut fast_sim)?;
             counters.merge(&eval.counters);
             faults_filtered += eval.filtered;
             *slot = GroupScore {
@@ -1049,7 +880,6 @@ pub fn score_candidate_groups(
             for _ in 0..threads {
                 scope.spawn(|| {
                     let mut fast_sim: Option<FaultSimulator> = None;
-                    let mut memo: MergedMemo = None;
                     loop {
                         if bail.load(Ordering::Relaxed) {
                             break;
@@ -1059,7 +889,7 @@ pub fn score_candidate_groups(
                             break;
                         }
                         let start = Instant::now();
-                        let eval = eval_any(gi, &mut fast_sim, &mut memo);
+                        let eval = eval_any(gi, &mut fast_sim);
                         let us = start.elapsed().as_micros() as u64;
                         let failed = eval.is_err() || matches!(&eval, Ok(e) if e.stopped.is_some());
                         results.lock().expect("scorer mutex").push((gi, eval, us));
@@ -1274,9 +1104,8 @@ mod tests {
 
     #[test]
     fn solo_sites_match_full_resimulation() {
-        // One candidate per site, kinds rotating, so every control and
-        // full group takes the solo path (no merged-run sharing) and
-        // observes still read the presence pass.
+        // One candidate per site, kinds rotating: no site hosts two
+        // kinds, and observes still read the presence pass.
         let c = awkward();
         let groups: Vec<Vec<TestPoint>> = c
             .node_ids()
@@ -1317,10 +1146,10 @@ mod tests {
     /// Score every node × kind of `c`, over the faults the scoring
     /// stream leaves undetected, against a full re-simulation of the
     /// candidate circuit: once in one batch where every site hosts all
-    /// four kinds (merged forcing runs), and once spread over four
-    /// batches with one kind per site (solo runs), at one thread and
-    /// (for the merged batch and one solo batch) at two. Returns the
-    /// faults the reach filter kept out of runs.
+    /// four kinds, and once spread over four batches with one kind per
+    /// site, at one thread and (for the all-kinds batch and one
+    /// one-kind batch) at two. Returns the faults the reach filter kept
+    /// out of runs.
     fn assert_every_candidate_matches(c: &Circuit, patterns: u64, seed: u64) -> u64 {
         let faults = undetected(c, patterns, seed);
         let nodes: Vec<NodeId> = c.node_ids().collect();

@@ -49,6 +49,26 @@ impl Fault {
         }
     }
 
+    /// The line the fault sits on: its stem, or the node driving a branch
+    /// fault's pin in `circuit` (resolve against the circuit being
+    /// simulated: a control point may have re-driven the pin).
+    pub fn line(&self, circuit: &Circuit) -> NodeId {
+        match self.site {
+            FaultSite::Stem(node) => node,
+            FaultSite::Branch { gate, pin } => circuit.fanins(gate)[pin as usize],
+        }
+    }
+
+    /// The node the fault's effect first appears on: its stem, or the
+    /// gate whose input pin a branch fault sits on. Every path the effect
+    /// takes to an output runs through it.
+    pub fn origin(&self) -> NodeId {
+        match self.site {
+            FaultSite::Stem(node) => node,
+            FaultSite::Branch { gate, .. } => gate,
+        }
+    }
+
     /// Render with circuit names, e.g. `g3/SA0` or `g5.pin1/SA1`.
     pub fn describe(&self, circuit: &Circuit) -> String {
         let sa = if self.stuck { "SA1" } else { "SA0" };
@@ -258,6 +278,19 @@ mod tests {
             stuck: true,
         };
         assert_eq!(bf.describe(&c), "g2.pin0/SA1");
+    }
+
+    #[test]
+    fn line_and_origin() {
+        let c = fanout_circuit();
+        let (g1, g2) = (c.find_node("g1").unwrap(), c.find_node("g2").unwrap());
+        let stem = Fault::stem_sa1(g1);
+        assert_eq!((stem.line(&c), stem.origin()), (g1, g1));
+        let branch = Fault {
+            site: FaultSite::Branch { gate: g2, pin: 0 },
+            stuck: false,
+        };
+        assert_eq!((branch.line(&c), branch.origin()), (g1, g2));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use tpi_netlist::{Circuit, GateKind, NetlistError, NodeId, Topology};
 use crate::compile::{self, block_words_supported, DEFAULT_BLOCK_WORDS, MAX_BLOCK_WORDS};
 use crate::{
     ControlledRun, Fault, FaultSimResult, FaultSite, LogicSim, PatternSource, RunControl,
-    SimCounters, StopReason,
+    SimCounters,
 };
 
 /// How per-fault detection words are computed within each pattern block.
@@ -115,24 +115,6 @@ fn auto_block_words(nodes: usize) -> usize {
     }
 }
 
-/// Result of [`FaultSimulator::run_bitmaps`]: per-fault, per-pattern
-/// detection bitmaps over the applied pattern prefix.
-#[derive(Debug)]
-pub struct BitmapRun {
-    /// `maps[fi]` holds one bit per applied pattern for fault `fi`:
-    /// word `p / 64`, lane `p % 64` is set iff pattern `p` detects it.
-    /// Each map has `patterns_applied.div_ceil(64)` words; padding lanes
-    /// beyond the last applied pattern are zero.
-    pub maps: Vec<Vec<u64>>,
-    /// Number of patterns actually applied (may trail `max_patterns` on
-    /// source exhaustion or interruption).
-    pub patterns_applied: u64,
-    /// `None` if the run completed normally.
-    pub stopped: Option<StopReason>,
-    /// Kernel counters for this run.
-    pub counters: SimCounters,
-}
-
 /// What `propagate_words` drives into the faulty overlay at the site.
 enum Injection {
     /// A stuck-at fault (stem overwrite or branch pin override).
@@ -217,7 +199,9 @@ pub struct FaultSimulator {
     input_block: Vec<u64>,
     fill_scratch: Vec<u64>,
     // Critical-path-tracing state (valid within one block).
-    // `ffr_root[i]` is the root node of the FFR containing node `i`;
+    // `ffr_root[i]` is the root node of the FFR containing node `i` (a
+    // fault's region is its origin's: a branch line past the fanout
+    // point belongs to its gate's region);
     // `sens[i * w + j]` is line `i`'s *local* sensitization word (path
     // sensitization up to its region root, lane-masked) once its region
     // has been swept (stale and never read for inactive regions).
@@ -436,9 +420,10 @@ impl FaultSimulator {
         let mut hard: Vec<bool> = vec![false; faults.len()];
         let fault_roots: Vec<u32> = match self.mode {
             DetectionMode::Explicit => Vec::new(),
-            DetectionMode::CriticalPathTracing => {
-                faults.iter().map(|&f| self.fault_root(f)).collect()
-            }
+            DetectionMode::CriticalPathTracing => faults
+                .iter()
+                .map(|f| self.ffr_root[f.origin().index()])
+                .collect(),
         };
         let before = self.counters;
         let mut stopped = None;
@@ -555,9 +540,10 @@ impl FaultSimulator {
         let mut counts = vec![0u64; faults.len()];
         let fault_roots: Vec<u32> = match self.mode {
             DetectionMode::Explicit => Vec::new(),
-            DetectionMode::CriticalPathTracing => {
-                faults.iter().map(|&f| self.fault_root(f)).collect()
-            }
+            DetectionMode::CriticalPathTracing => faults
+                .iter()
+                .map(|f| self.ffr_root[f.origin().index()])
+                .collect(),
         };
         let mut base = 0u64;
         while base < max_patterns {
@@ -592,83 +578,6 @@ impl FaultSimulator {
             base += lanes;
         }
         Ok((counts, base))
-    }
-
-    /// Per-fault, per-pattern detection bitmaps without dropping: bit
-    /// `p` of `maps[fi]` (word `p / 64`, lane `p % 64`) is set iff fault
-    /// `fi` is detected by pattern `p`. The bitmaps are bit-identical
-    /// for every block width (lanes are independent) and are the shared
-    /// base state of the batched candidate scorer: a candidate circuit
-    /// that is transparent on a pattern replays exactly these detection
-    /// bits, so only its non-transparent patterns need re-simulation.
-    ///
-    /// The `control` token is polled once per block; a stopped run
-    /// reports the reason and the bitmaps accumulated so far.
-    ///
-    /// # Errors
-    ///
-    /// Infallible after construction (see [`FaultSimulator::run`]).
-    pub fn run_bitmaps(
-        &mut self,
-        source: &mut dyn PatternSource,
-        max_patterns: u64,
-        faults: &[Fault],
-        control: &RunControl,
-    ) -> Result<BitmapRun, NetlistError> {
-        let mut maps = vec![Vec::new(); faults.len()];
-        let fault_roots: Vec<u32> = match self.mode {
-            DetectionMode::Explicit => Vec::new(),
-            DetectionMode::CriticalPathTracing => {
-                faults.iter().map(|&f| self.fault_root(f)).collect()
-            }
-        };
-        let before = self.counters;
-        let mut stopped = None;
-        let mut base = 0u64;
-        while base < max_patterns {
-            self.counters.polls += 1;
-            stopped = control.poll();
-            if stopped.is_some() {
-                break;
-            }
-            let filled = self.next_block(source, max_patterns - base);
-            if filled == 0 {
-                break;
-            }
-            let lanes = filled.min(max_patterns - base);
-            let masks = lane_masks(lanes, self.w);
-            self.counters.blocks += 1;
-            self.counters.pattern_lanes += lanes;
-            self.simulate_good();
-            let words = (lanes.div_ceil(64) as usize).min(self.w);
-            match self.mode {
-                DetectionMode::Explicit => {
-                    for (fi, &fault) in faults.iter().enumerate() {
-                        let detect = self.propagate(fault, &masks, true, |_, _| {});
-                        maps[fi].extend_from_slice(&detect[..words]);
-                    }
-                }
-                DetectionMode::CriticalPathTracing => {
-                    for &r in &fault_roots {
-                        self.mark_region(r);
-                    }
-                    self.cpt_sweep_active(&masks);
-                    for (fi, &fault) in faults.iter().enumerate() {
-                        let detect = self.cpt_detect(fault, fault_roots[fi], &masks, false);
-                        maps[fi].extend_from_slice(&detect[..words]);
-                    }
-                    self.clear_regions();
-                }
-            }
-            base += lanes;
-            control.charge(lanes);
-        }
-        Ok(BitmapRun {
-            maps,
-            patterns_applied: base,
-            stopped,
-            counters: self.counters.since(&before),
-        })
     }
 
     /// Like [`run_counting`](FaultSimulator::run_counting), but also calls
@@ -1115,18 +1024,6 @@ impl FaultSimulator {
 
     // ----- critical path tracing -------------------------------------
 
-    /// Root of the FFR containing `fault`'s site. A branch fault lives on
-    /// an input line of its gate, which always belongs to the gate's
-    /// region (the driver may be a stem, but the *line* past the fanout
-    /// point does not).
-    fn fault_root(&self, fault: Fault) -> u32 {
-        let anchor = match fault.site {
-            FaultSite::Stem(v) => v.index(),
-            FaultSite::Branch { gate, .. } => gate.index(),
-        };
-        self.ffr_root[anchor]
-    }
-
     /// Mark the region rooted at `root` for this block's sweep.
     fn mark_region(&mut self, root: u32) {
         if !self.region_active[root as usize] {
@@ -1235,12 +1132,7 @@ impl FaultSimulator {
     ) -> [u64; MAX_BLOCK_WORDS] {
         let w = self.w;
         let mut detect = [0u64; MAX_BLOCK_WORDS];
-        let driver = match fault.site {
-            FaultSite::Stem(v) => v.index(),
-            FaultSite::Branch { gate, pin } => {
-                self.sim.circuit().fanins(gate)[pin as usize].index()
-            }
-        };
+        let driver = fault.line(self.sim.circuit()).index();
         let mut excite = [0u64; MAX_BLOCK_WORDS];
         let mut any = 0u64;
         for j in 0..w {

@@ -72,7 +72,7 @@ pub use compile::{block_words_supported, DEFAULT_BLOCK_WORDS, MAX_BLOCK_WORDS};
 pub use control::{ControlledRun, RunControl, StopReason};
 pub use coverage::{CoveragePoint, FaultSimResult};
 pub use fault::{Fault, FaultSite, FaultUniverse};
-pub use fsim::{BackendChoice, BitmapRun, DetectionMode, FaultSimulator, SimOptions, SimdBackend};
+pub use fsim::{BackendChoice, DetectionMode, FaultSimulator, SimOptions, SimdBackend};
 pub use lfsr::{Lfsr, LfsrPatterns};
 pub use logic::LogicSim;
 pub use metrics::SimCounters;

@@ -29,8 +29,8 @@ use tpi_netlist::ffr::FfrDecomposition;
 use tpi_netlist::{Circuit, NetlistError, Topology};
 
 use crate::{
-    ControlledRun, Fault, FaultSimResult, FaultSimulator, FaultSite, PatternSource, RunControl,
-    SimOptions, StopReason,
+    ControlledRun, Fault, FaultSimResult, FaultSimulator, PatternSource, RunControl, SimOptions,
+    StopReason,
 };
 
 /// Fault-simulate `faults` across `threads` worker threads, with fault
@@ -355,14 +355,6 @@ fn cone_costs(circuit: &Circuit, topo: &Topology) -> Vec<u64> {
     cone_cost
 }
 
-/// The anchor node whose cone a fault propagates through.
-fn fault_anchor(fault: &Fault) -> tpi_netlist::NodeId {
-    match fault.site {
-        FaultSite::Stem(v) => v,
-        FaultSite::Branch { gate, .. } => gate,
-    }
-}
-
 /// Build the work units for the stealing scheduler: fault indices
 /// grouped by the fanout-free region of their anchor (faults collapsing
 /// onto one stem share that unit's per-block observability memo),
@@ -382,7 +374,7 @@ fn steal_units(
     let mut group_of_root = vec![usize::MAX; circuit.node_count()];
     let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
     for (i, fault) in faults.iter().enumerate() {
-        let anchor = fault_anchor(fault);
+        let anchor = fault.origin();
         let root = ffr.root_of(anchor).index();
         if group_of_root[root] == usize::MAX {
             group_of_root[root] = groups.len();

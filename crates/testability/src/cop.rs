@@ -190,20 +190,15 @@ impl CopAnalysis {
     /// `circuit` must be the circuit this analysis was computed for (needed
     /// to resolve branch drivers).
     pub fn detection_probability(&self, circuit: &Circuit, fault: Fault) -> f64 {
-        match fault.site {
-            FaultSite::Stem(v) => {
-                let exc = if fault.stuck { self.c0(v) } else { self.c1(v) };
-                exc * self.obs[v.index()]
-            }
-            FaultSite::Branch { gate, pin } => {
-                let driver = circuit.fanins(gate)[pin as usize];
-                let exc = if fault.stuck {
-                    self.c0(driver)
-                } else {
-                    self.c1(driver)
-                };
-                exc * self.pin_row(gate)[pin as usize]
-            }
+        let line = fault.line(circuit);
+        let exc = if fault.stuck {
+            self.c0(line)
+        } else {
+            self.c1(line)
+        };
+        exc * match fault.site {
+            FaultSite::Stem(v) => self.obs[v.index()],
+            FaultSite::Branch { gate, pin } => self.pin_row(gate)[pin as usize],
         }
     }
 }

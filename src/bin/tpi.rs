@@ -101,12 +101,14 @@ fn print_usage() {
          tpi analyze  <file.bench>\n  \
          tpi simulate <file.bench> [--patterns N] [--seed S] [--lfsr] [--threads N]\n           \
          [--block-words auto|W] [--detection cpt|explicit] [--metrics-out FILE]\n  \
-         tpi insert   <file.bench> [--objective coverage|patterns]\n           \
+         tpi insert   <file.bench> [--objective coverage]\n           \
          [--log2-threshold E | --test-length L --confidence C]\n           \
          [--method dp|greedy|constructive] [--threads N]\n           \
          [--candidate-eval batched|legacy] [--score-threads N]\n           \
          [--block-words auto|W] [--detection cpt|explicit] [--deadline-ms MS]\n           \
-         [--max-points N] [--probe-width N] [--max-backtracks N]\n           \
+         [--out FILE] [--verilog FILE] [--metrics-out FILE]\n  \
+         tpi insert   <file.bench> --objective patterns [--method greedy|constructive]\n           \
+         [--max-points N] [--probe-width N] [--max-backtracks N] [--deadline-ms MS]\n           \
          [--out FILE] [--verilog FILE] [--metrics-out FILE]\n  \
          tpi atpg     <file.bench> [--patterns N] [--metrics-out FILE]\n  \
          tpi export   <file.bench> (--verilog FILE | --dot FILE)\n  \
@@ -396,38 +398,54 @@ fn simulate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The flags `tpi insert --objective coverage` (the default) reads.
+const COVERAGE_FLAGS: &[&str] = &[
+    "objective",
+    "log2-threshold",
+    "test-length",
+    "confidence",
+    "method",
+    "threads",
+    "candidate-eval",
+    "score-threads",
+    "block-words",
+    "detection",
+    "deadline-ms",
+    "out",
+    "verilog",
+    "metrics-out",
+];
+
+/// The flags `tpi insert --objective patterns` reads.
+const PATTERNS_FLAGS: &[&str] = &[
+    "objective",
+    "method",
+    "max-points",
+    "probe-width",
+    "max-backtracks",
+    "deadline-ms",
+    "out",
+    "verilog",
+    "metrics-out",
+];
+
 fn insert(args: &[String]) -> Result<(), String> {
-    // The flags of both objectives; each reads its own share.
-    let flags = Flags::parse(
-        args,
-        &[
-            "objective",
-            "log2-threshold",
-            "test-length",
-            "confidence",
-            "method",
-            "threads",
-            "candidate-eval",
-            "score-threads",
-            "block-words",
-            "detection",
-            "deadline-ms",
-            "max-points",
-            "probe-width",
-            "max-backtracks",
-            "out",
-            "verilog",
-            "metrics-out",
-        ],
-        &[],
-    )?;
     // `--objective`: what the inserted points optimise. `coverage` (the
     // default) raises every fault's random-pattern detection probability
     // past a threshold; `patterns` minimises the compacted deterministic
-    // pattern count by resolving test-cube conflicts.
-    match flags.get("objective").unwrap_or("coverage") {
-        "coverage" => insert_coverage(&flags),
-        "patterns" => insert_patterns(&flags),
+    // pattern count by resolving test-cube conflicts. Each objective
+    // accepts only the flags it reads.
+    let objective = args
+        .iter()
+        .position(|a| a == "--objective")
+        .and_then(|i| args.get(i + 1))
+        .map_or("coverage", String::as_str);
+    let flags = |values| {
+        Flags::parse(args, values, &[]).map_err(|e| format!("--objective {objective}: {e}"))
+    };
+    match objective {
+        "coverage" => insert_coverage(&flags(COVERAGE_FLAGS)?),
+        "patterns" => insert_patterns(&flags(PATTERNS_FLAGS)?),
         other => Err(format!(
             "bad --objective `{other}` (expected coverage|patterns)"
         )),

@@ -5,8 +5,9 @@
 //! timed region-DP solves and the counts of skipped solves and filtered
 //! faults for `--method constructive`, and for
 //! `tpi atpg` the PODEM work of the redundancy sweep and the top-off
-//! run together. A flag the command does not read — a typo, or one that
-//! no longer exists — is refused before anything runs, and so are
+//! run together. A flag the command does not read — a typo, one that no
+//! longer exists, or one of the other `--objective`'s — is refused before
+//! anything runs, and so are
 //! `--threads 0` and a `--method` the usage text does not list.
 
 use std::path::{Path, PathBuf};
@@ -319,6 +320,50 @@ fn the_removed_simd_backend_flag_is_refused() {
         assert_refuses_flag(
             &[command, path, "--simd-backend", "avx512"],
             "--simd-backend",
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn coverage_insert_refuses_the_patterns_flags() {
+    let dir = temp_dir("coverage-flags");
+    let circuit = dir.join("cone.bench");
+    std::fs::write(&circuit, cone_bench()).unwrap();
+    let path = circuit.to_str().unwrap();
+    for (flag, value) in [
+        ("--max-points", "2"),
+        ("--probe-width", "2"),
+        ("--max-backtracks", "10"),
+    ] {
+        assert_refuses_flag(&["insert", path, flag, value], flag);
+        assert_refuses_flag(
+            &["insert", path, "--objective", "coverage", flag, value],
+            flag,
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn patterns_insert_refuses_the_coverage_flags() {
+    let dir = temp_dir("patterns-flags");
+    let circuit = dir.join("cone.bench");
+    std::fs::write(&circuit, cone_bench()).unwrap();
+    let path = circuit.to_str().unwrap();
+    for (flag, value) in [
+        ("--log2-threshold", "-8"),
+        ("--test-length", "1000"),
+        ("--confidence", "0.9"),
+        ("--threads", "1"),
+        ("--candidate-eval", "batched"),
+        ("--score-threads", "1"),
+        ("--block-words", "4"),
+        ("--detection", "cpt"),
+    ] {
+        assert_refuses_flag(
+            &["insert", path, "--objective", "patterns", flag, value],
+            flag,
         );
     }
     std::fs::remove_dir_all(&dir).ok();
