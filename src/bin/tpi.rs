@@ -435,11 +435,13 @@ fn insert(args: &[String]) -> Result<(), String> {
     // past a threshold; `patterns` minimises the compacted deterministic
     // pattern count by resolving test-cube conflicts. Each objective
     // accepts only the flags it reads.
-    let objective = args
-        .iter()
-        .position(|a| a == "--objective")
-        .and_then(|i| args.get(i + 1))
-        .map_or("coverage", String::as_str);
+    let objective = match args.iter().position(|a| a == "--objective") {
+        Some(i) => args
+            .get(i + 1)
+            .map(String::as_str)
+            .ok_or("--objective needs a value")?,
+        None => "coverage",
+    };
     let flags = |values| {
         Flags::parse(args, values, &[]).map_err(|e| format!("--objective {objective}: {e}"))
     };
