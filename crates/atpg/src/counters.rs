@@ -27,8 +27,13 @@ pub struct AtpgCounters {
     pub implications: u64,
     /// Faults abandoned because a search hit its backtrack limit.
     pub aborted_faults: u64,
-    /// Faults proven untestable (redundant) along the way.
+    /// Faults proven untestable (redundant) along the way, carried
+    /// verdicts included.
     pub redundant_faults: u64,
+    /// Redundant faults recorded from a verdict carried over from the
+    /// circuit before a test point, without a PODEM search (see
+    /// [`topoff::generate_controlled`](crate::topoff::generate_controlled)).
+    pub redundant_carried: u64,
     /// Faults dropped by cube fault-simulation beyond the targeted one
     /// (fortuitous detections).
     pub fortuitous_drops: u64,
@@ -43,6 +48,7 @@ impl AtpgCounters {
         self.implications += other.implications;
         self.aborted_faults += other.aborted_faults;
         self.redundant_faults += other.redundant_faults;
+        self.redundant_carried += other.redundant_carried;
         self.fortuitous_drops += other.fortuitous_drops;
     }
 
@@ -70,6 +76,9 @@ impl AtpgCounters {
             .counter("atpg.redundant_faults")
             .add(self.redundant_faults);
         registry
+            .counter("atpg.redundant_carried")
+            .add(self.redundant_carried);
+        registry
             .counter("atpg.fortuitous_drops")
             .add(self.fortuitous_drops);
     }
@@ -88,6 +97,7 @@ mod tests {
             implications: 7,
             aborted_faults: 3,
             redundant_faults: 4,
+            redundant_carried: 8,
             fortuitous_drops: 5,
         };
         a.merge(&a.clone());
@@ -100,6 +110,7 @@ mod tests {
                 implications: 14,
                 aborted_faults: 6,
                 redundant_faults: 8,
+                redundant_carried: 16,
                 fortuitous_drops: 10,
             }
         );
@@ -115,6 +126,7 @@ mod tests {
             implications: 13,
             aborted_faults: 1,
             redundant_faults: 2,
+            redundant_carried: 4,
             fortuitous_drops: 3,
         };
         c.publish_to(&registry);
@@ -124,5 +136,6 @@ mod tests {
         assert_eq!(registry.counter("atpg.decisions").get(), 22);
         assert_eq!(registry.counter("atpg.implications").get(), 26);
         assert_eq!(registry.counter("atpg.aborted_faults").get(), 2);
+        assert_eq!(registry.counter("atpg.redundant_carried").get(), 8);
     }
 }

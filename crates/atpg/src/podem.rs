@@ -42,7 +42,11 @@ const NONE: usize = usize::MAX;
 /// fault* or *advance the D-frontier*; each objective is backtraced to a
 /// primary-input assignment (SCOAP-guided choice of path), and a
 /// decision stack over PI assignments backtracks on conflicts.
-/// Exhausting the stack proves redundancy.
+/// Exhausting the stack proves redundancy. Before each objective the
+/// search also backtracks when no X-path is left: when every path from
+/// the fault's origin to a primary output crosses a line whose two
+/// machines are binary and equal, no extension of the assignment can
+/// detect the fault, so the subtree below holds no test.
 ///
 /// Implication is event-driven over a flat copy of the netlist built
 /// once per generator: nodes are renumbered to their topological
@@ -53,7 +57,10 @@ const NONE: usize = usize::MAX;
 /// D-frontier scan and the detection check look only at the fault's
 /// fanout cone, the only place the two machines can differ. None of
 /// this changes the search: objectives, decisions, backtracks and cubes
-/// are those of re-simulating both machines after every decision.
+/// are those of re-simulating both machines after every decision. The
+/// X-path check prunes only subtrees without a test, so it changes no
+/// cube or verdict either; it only lets a search finish that would
+/// otherwise have hit [`PodemConfig::max_backtracks`].
 #[derive(Clone, Debug)]
 pub struct Podem {
     config: PodemConfig,
@@ -97,6 +104,11 @@ pub struct Podem {
     cone_outputs: Vec<u32>,
     /// Cone-membership scratch, all `false` between calls.
     in_cone: Vec<bool>,
+    /// X-path search: the visit stamp of each position, the stamp of the
+    /// current search, and its stack.
+    seen: Vec<u32>,
+    stamp: u32,
+    path: Vec<u32>,
     /// Decision stack.
     stack: Vec<Decision>,
     /// Statistics of the last call.
@@ -216,6 +228,9 @@ impl Podem {
             cone: Vec::new(),
             cone_outputs: Vec::new(),
             in_cone: vec![false; n],
+            seen: vec![0; n],
+            stamp: 0,
+            path: Vec::new(),
             stack: Vec::new(),
             last_backtracks: 0,
             last_decisions: 0,
@@ -257,9 +272,12 @@ impl Podem {
             if self.detected() {
                 break PodemResult::Test(TestCube::new(assignment));
             }
-            let decision = self
-                .objective()
-                .and_then(|(pos, value)| self.backtrace(pos, value));
+            let decision = if self.x_path() {
+                self.objective()
+                    .and_then(|(pos, value)| self.backtrace(pos, value))
+            } else {
+                None
+            };
             match decision {
                 Some((input, value)) => {
                     self.stack.push(Decision {
@@ -455,6 +473,48 @@ impl Podem {
         self.cone_outputs
             .iter()
             .any(|&pos| self.vals[pos as usize].is_d())
+    }
+
+    /// Whether some path from the fault's origin (the stem, or the
+    /// branch's gate) to a primary output runs only through lines that
+    /// are not settled, i.e. carry a `D`/`D̄` or are X in at least one
+    /// machine. A settled line stays settled under every extension of
+    /// the assignment, and a detecting extension has a path of lines
+    /// whose machines differ, so without such a path nothing below the
+    /// current decision detects the fault.
+    fn x_path(&mut self) -> bool {
+        let root = if self.fault.stem == NONE {
+            self.fault.gate
+        } else {
+            self.fault.stem
+        };
+        if self.vals[root].is_settled() {
+            return false;
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.seen.fill(0);
+            self.stamp = 1;
+        }
+        self.seen[root] = self.stamp;
+        self.path.clear();
+        self.path.push(root as u32);
+        while let Some(pos) = self.path.pop() {
+            let pos = pos as usize;
+            if self.is_output[pos] {
+                return true;
+            }
+            for &fo in
+                &self.fanouts[self.fanout_start[pos] as usize..self.fanout_start[pos + 1] as usize]
+            {
+                let fo = fo as usize;
+                if self.seen[fo] != self.stamp && !self.vals[fo].is_settled() {
+                    self.seen[fo] = self.stamp;
+                    self.path.push(fo as u32);
+                }
+            }
+        }
+        false
     }
 
     /// The next objective `(position, good-machine target value)`, or
@@ -989,6 +1049,33 @@ mod tests {
             full.generate(Fault::stem_sa1(y)).unwrap(),
             PodemResult::Test(_)
         ));
+    }
+
+    #[test]
+    fn x_path_check_cuts_a_blocked_search_short() {
+        // s feeds pin 0 of g = AND(s, p) and the output o = AND(g, s), p
+        // is a 10-input XOR tree. Exciting g.s/SA1 sets s = 0, which
+        // holds o at 0 in both machines while g (0 good, X faulty) keeps
+        // the D-frontier non-empty. Without the X-path check the search
+        // enumerates the XOR tree's inputs (about a thousand backtracks)
+        // before the stack runs out; with it, the blocked output ends the
+        // branch at once.
+        let mut b = CircuitBuilder::new("blocked");
+        let s = b.input("s");
+        let xs = b.inputs(10, "x");
+        let p = b.balanced_tree(GateKind::Xor, &xs, "p").unwrap();
+        let g = b.gate(GateKind::And, vec![s, p], "g").unwrap();
+        let o = b.gate(GateKind::And, vec![g, s], "o").unwrap();
+        b.output(o);
+        let c = b.finish().unwrap();
+        let fault = Fault {
+            site: FaultSite::Branch { gate: g, pin: 0 },
+            stuck: true,
+        };
+        let mut podem = Podem::with_config(&c, PodemConfig { max_backtracks: 8 }).unwrap();
+        assert_eq!(podem.generate(fault).unwrap(), PodemResult::Untestable);
+        assert_eq!(podem.last_backtracks(), 1);
+        assert_eq!(podem.last_decisions(), 2);
     }
 
     #[test]

@@ -7,6 +7,13 @@
 //! LFSR seeds. This module answers the flow's final question — **how many
 //! cubes/seeds does 100% need?** — with fault-simulation-based dropping so
 //! cubes that fortuitously catch several faults are counted once.
+//!
+//! The same generator builds the pattern-count objective's cube sets
+//! (`tpi-compaction`), whose probes regenerate a set after one test
+//! point. A probe hands [`generate_controlled`] the faults whose
+//! redundancy verdict carries over unchanged from the circuit before the
+//! point; each is recorded as redundant at its turn without a PODEM
+//! search, so the result equals a run that proves it again.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -68,7 +75,7 @@ pub fn generate(
     config: PodemConfig,
     seed: u64,
 ) -> Result<TopoffResult, NetlistError> {
-    generate_controlled(circuit, faults, config, seed, &RunControl::unlimited())
+    generate_controlled(circuit, faults, config, seed, &RunControl::unlimited(), &[])
 }
 
 /// [`generate`] under a [`RunControl`] token, polled once per target
@@ -77,6 +84,13 @@ pub fn generate(
 /// result, the remaining faults are reported in
 /// [`TopoffResult::uncovered`], and
 /// [`TopoffResult::interrupted`] records the reason.
+///
+/// A target listed in `carried` is recorded as redundant at its turn
+/// without a PODEM search and counted in
+/// [`AtpgCounters::redundant_carried`]. The caller vouches that PODEM
+/// under `config` would prove each of them untestable on `circuit`;
+/// then the result equals that of an empty `carried`, counters of the
+/// skipped searches aside.
 ///
 /// # Errors
 ///
@@ -87,7 +101,10 @@ pub fn generate_controlled(
     config: PodemConfig,
     seed: u64,
     control: &RunControl,
+    carried: &[Fault],
 ) -> Result<TopoffResult, NetlistError> {
+    let mut carried = carried.to_vec();
+    carried.sort_unstable();
     let mut podem = Podem::with_config(circuit, config)?;
     let mut sim = FaultSimulator::new(circuit)?;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -104,6 +121,13 @@ pub fn generate_controlled(
         if interrupted.is_some() {
             uncovered.extend(remaining.iter().copied());
             break;
+        }
+        if carried.binary_search(&fault).is_ok() {
+            redundant.push(fault);
+            remaining.swap_remove(0);
+            counters.redundant_faults += 1;
+            counters.redundant_carried += 1;
+            continue;
         }
         let outcome = podem.generate(fault)?;
         counters.record_search(&podem);
@@ -333,14 +357,52 @@ mod tests {
     }
 
     #[test]
+    fn carried_verdicts_skip_the_search_and_keep_the_result() {
+        // y = OR(x, NOT(x)) ≡ 1 beside an AND cone: y masks every fault
+        // of x, NOT(x) and y/SA1.
+        let mut b = CircuitBuilder::new("c");
+        let x = b.input("x");
+        let nx = b.gate(GateKind::Not, vec![x], "nx").unwrap();
+        let y = b.gate(GateKind::Or, vec![x, nx], "y").unwrap();
+        let xs = b.inputs(4, "a");
+        let z = b.balanced_tree(GateKind::And, &xs, "z").unwrap();
+        b.output(y);
+        b.output(z);
+        let c = b.finish().unwrap();
+        let universe = FaultUniverse::collapsed(&c).unwrap();
+        let control = RunControl::unlimited();
+        let config = PodemConfig::default();
+        let fresh = generate_controlled(&c, universe.faults(), config, 4, &control, &[]).unwrap();
+        assert_eq!(fresh.redundant.len(), 3);
+        let carried =
+            generate_controlled(&c, universe.faults(), config, 4, &control, &fresh.redundant)
+                .unwrap();
+        assert_eq!(carried.cubes, fresh.cubes);
+        assert_eq!(carried.targets, fresh.targets);
+        assert_eq!(carried.merged, fresh.merged);
+        assert_eq!(carried.redundant, fresh.redundant);
+        assert_eq!(carried.uncovered, fresh.uncovered);
+        assert_eq!(fresh.counters.redundant_carried, 0);
+        assert_eq!(carried.counters.redundant_carried, 3);
+        assert_eq!(carried.counters.redundant_faults, 3);
+        assert!(carried.counters.decisions < fresh.counters.decisions);
+    }
+
+    #[test]
     fn cancelled_topoff_returns_generated_cubes_and_remaining_faults() {
         let c = resistant_circuit();
         let universe = FaultUniverse::collapsed(&c).unwrap();
         let control = RunControl::cancellable();
         control.cancel();
-        let result =
-            generate_controlled(&c, universe.faults(), PodemConfig::default(), 9, &control)
-                .unwrap();
+        let result = generate_controlled(
+            &c,
+            universe.faults(),
+            PodemConfig::default(),
+            9,
+            &control,
+            &[],
+        )
+        .unwrap();
         assert_eq!(result.interrupted, Some(StopReason::Cancelled));
         assert!(result.cubes.is_empty());
         assert_eq!(result.uncovered.len(), universe.len());

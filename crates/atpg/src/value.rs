@@ -107,6 +107,12 @@ impl Pair {
         self.0 & GOOD == 0 || self.0 >> 2 == 0
     }
 
+    /// Whether both machines are binary and equal: no later assignment
+    /// can make the line carry a `D` or `D̄`.
+    pub(crate) fn is_settled(self) -> bool {
+        self.0 == ZEROS || self.0 == ONES
+    }
+
     /// Whether both machines are binary and differ (`D` or `D̄`).
     pub(crate) fn is_d(self) -> bool {
         let (good, faulty) = (self.0 & GOOD, self.0 >> 2);

@@ -258,7 +258,7 @@ mod tests {
             targets,
             merged,
             uncovered: 0,
-            redundant: 0,
+            redundant: Vec::new(),
             counters: Default::default(),
             interrupted: None,
         }

@@ -1,10 +1,17 @@
 //! The deterministic test set of a circuit, as the compaction subsystem
 //! sees it: one PODEM cube per surviving collapsed fault, packed into
 //! stored patterns by the canonical top-off packer.
+//!
+//! A probe ([`CubeSet::probe`]) builds the set of the circuit with one
+//! more test point. It runs the same generator, except that a fault this
+//! set proved redundant keeps its verdict without a new PODEM search
+//! when its fanout cone and the point line's are disjoint: then the
+//! point changes nothing PODEM reads while it searches for that fault.
 
 use tpi_atpg::topoff::{self, TopoffResult};
 use tpi_atpg::{AtpgCounters, PodemConfig, TestCube};
-use tpi_netlist::{Circuit, NetlistError};
+use tpi_netlist::transform::apply_test_point;
+use tpi_netlist::{Circuit, NetlistError, NodeId, TestPoint, Topology};
 use tpi_sim::{Fault, RunControl, StopReason};
 
 /// Tuning for cube-set generation.
@@ -47,9 +54,10 @@ pub struct CubeSet {
     /// Faults the generator could not cover (PODEM aborts; plus
     /// everything unprocessed if interrupted).
     pub uncovered: usize,
-    /// Faults proven redundant (excluded from the pattern-count metric —
-    /// no test set covers them).
-    pub redundant: usize,
+    /// Faults proven redundant, in the order they were reached
+    /// (excluded from the pattern-count metric — no test set covers
+    /// them).
+    pub redundant: Vec<Fault>,
     /// Generation work counters (`atpg.*` family).
     pub counters: AtpgCounters,
     /// `Some` when a [`RunControl`] token stopped generation early; the
@@ -69,6 +77,57 @@ impl CubeSet {
         config: &CubeConfig,
         control: &RunControl,
     ) -> Result<CubeSet, NetlistError> {
+        CubeSet::generate_carrying(circuit, faults, config, control, &[])
+    }
+
+    /// The cube set of `circuit` with `point` applied, over the `faults`
+    /// and under the `config` that made `self` from `circuit`. `None`
+    /// when the point does not apply at its line (a control or full
+    /// point on a dangling line).
+    ///
+    /// Equal to [`CubeSet::generate`] on the probed circuit, counters
+    /// aside: a fault of [`redundant`](CubeSet::redundant) whose origin
+    /// (the stem, or a branch's gate) has a fanout cone disjoint from
+    /// the point line's keeps its verdict without a PODEM search. Every
+    /// line the point changes lies in FO*(`point.node`), so such a fault
+    /// sees no change anywhere in FI*(FO*(origin)) — no value, SCOAP
+    /// measure, fanin order or output flag — and PODEM would repeat the
+    /// same untestable search there (DESIGN §6.2k).
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::Cycle`] for cyclic circuits.
+    pub fn probe(
+        &self,
+        circuit: &Circuit,
+        point: TestPoint,
+        faults: &[Fault],
+        config: &CubeConfig,
+        control: &RunControl,
+    ) -> Result<Option<CubeSet>, NetlistError> {
+        let mut probed = circuit.clone();
+        match apply_test_point(&mut probed, point) {
+            Ok(_) => {}
+            Err(NetlistError::InvalidTransform { .. }) => return Ok(None),
+            Err(e) => return Err(e),
+        }
+        let touched = fanin_of_fanout(circuit, &Topology::of(circuit)?, point.node);
+        let carried: Vec<Fault> = self
+            .redundant
+            .iter()
+            .copied()
+            .filter(|f| !touched[f.origin().index()])
+            .collect();
+        CubeSet::generate_carrying(&probed, faults, config, control, &carried).map(Some)
+    }
+
+    fn generate_carrying(
+        circuit: &Circuit,
+        faults: &[Fault],
+        config: &CubeConfig,
+        control: &RunControl,
+        carried: &[Fault],
+    ) -> Result<CubeSet, NetlistError> {
         let TopoffResult {
             cubes,
             targets,
@@ -77,13 +136,20 @@ impl CubeSet {
             uncovered,
             interrupted,
             counters,
-        } = topoff::generate_controlled(circuit, faults, config.podem, config.fill_seed, control)?;
+        } = topoff::generate_controlled(
+            circuit,
+            faults,
+            config.podem,
+            config.fill_seed,
+            control,
+            carried,
+        )?;
         Ok(CubeSet {
             cubes,
             targets,
             merged,
             uncovered: uncovered.len(),
-            redundant: redundant.len(),
+            redundant,
             counters,
             interrupted,
         })
@@ -103,6 +169,27 @@ impl CubeSet {
     pub fn is_empty(&self) -> bool {
         self.cubes.is_empty()
     }
+}
+
+/// Membership in FI*(FO*(`v`)) by node index: the lines that share a
+/// fanout-cone line with `v`. A node `o` is outside it exactly when
+/// FO*(`o`) and FO*(`v`) are disjoint.
+fn fanin_of_fanout(circuit: &Circuit, topo: &Topology, v: NodeId) -> Vec<bool> {
+    let mut marked = vec![false; circuit.node_count()];
+    marked[v.index()] = true;
+    for &id in topo.order() {
+        if circuit.fanins(id).iter().any(|f| marked[f.index()]) {
+            marked[id.index()] = true;
+        }
+    }
+    for &id in topo.order().iter().rev() {
+        if marked[id.index()] {
+            for &f in circuit.fanins(id) {
+                marked[f.index()] = true;
+            }
+        }
+    }
+    marked
 }
 
 #[cfg(test)]

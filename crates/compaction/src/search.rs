@@ -4,12 +4,17 @@
 //! Each round: analyse the current cube set's conflicts, rank candidate
 //! `(line, kind)` insertions by the admissible resolvable-conflict
 //! proxy ([`ConflictAnalysis::resolvable_by`]), then *probe* the most
-//! promising ones — regenerate and repack the full cube set on a clone
-//! of the circuit with the candidate applied — and commit only a probed
-//! strict improvement. Because every commit is refereed by the real
-//! objective, the final pattern count never exceeds the no-TPI
-//! baseline, and an interrupted run returns the exact prefix committed
-//! so far (the same anytime contract as the coverage optimizers).
+//! promising ones — rebuild and repack the cube set of a clone of the
+//! circuit with the candidate applied ([`CubeSet::probe`]) — and commit
+//! only a probed strict improvement. A probe equals a full
+//! regeneration but skips the PODEM searches of redundant faults whose
+//! verdict the point cannot change (disjoint fanout cones), so most of
+//! its time goes to the faults near the point. Because every commit is
+//! refereed by the real objective, the final pattern count never
+//! exceeds the no-TPI baseline, and an interrupted run returns the
+//! exact prefix committed so far (the same anytime contract as the
+//! coverage optimizers). The `compaction.commit_rank` histogram records
+//! each committed candidate's 0-based position in the ranking.
 
 use tpi_atpg::AtpgCounters;
 use tpi_core::{CostModel, Plan};
@@ -370,8 +375,9 @@ impl PatternsOptimizer {
             SearchTier::Constructive => self.config.probe_width.saturating_mul(2),
         };
         let mut probe_counters = AtpgCounters::default();
-        let mut best: Option<(TestPoint, CubeSet)> = None;
-        for candidate in ranked {
+        // The best probed improvement and its position in the ranking.
+        let mut best: Option<(TestPoint, CubeSet, usize)> = None;
+        for (rank, candidate) in ranked.into_iter().enumerate() {
             if decision.probes >= probe_budget {
                 break;
             }
@@ -384,7 +390,13 @@ impl PatternsOptimizer {
             }
             let probed = {
                 let timer = registry.map(|r| r.timer_us("compaction.probe_us"));
-                let probed = self.probe(circuit, candidate.point, faults, control)?;
+                let probed = current.probe(
+                    circuit,
+                    candidate.point,
+                    faults,
+                    &self.config.cubes,
+                    control,
+                )?;
                 drop(timer);
                 probed
             };
@@ -404,10 +416,10 @@ impl PatternsOptimizer {
             if improves {
                 let better = match &best {
                     None => true,
-                    Some((_, b)) => probed.patterns() < b.patterns(),
+                    Some((_, b, _)) => probed.patterns() < b.patterns(),
                 };
                 if better {
-                    best = Some((candidate.point, probed));
+                    best = Some((candidate.point, probed, rank));
                     if self.config.tier == SearchTier::Constructive {
                         break; // first improvement wins
                     }
@@ -421,29 +433,14 @@ impl PatternsOptimizer {
             probe_counters.publish_to(reg);
         }
         if decision.interrupted.is_none() {
-            decision.committed = best;
+            if let Some((point, probed, rank)) = best {
+                if let Some(reg) = registry {
+                    reg.histogram("compaction.commit_rank").record(rank as u64);
+                }
+                decision.committed = Some((point, probed));
+            }
         }
         Ok(decision)
-    }
-
-    /// Probe one candidate: regenerate the full cube set on a clone of
-    /// `circuit` with `point` applied. `None` when the transform does
-    /// not apply at this line (e.g. a control point on a dangling
-    /// line).
-    fn probe(
-        &self,
-        circuit: &Circuit,
-        point: TestPoint,
-        faults: &[Fault],
-        control: &RunControl,
-    ) -> Result<Option<CubeSet>, NetlistError> {
-        let mut probed_circuit = circuit.clone();
-        match apply_test_point(&mut probed_circuit, point) {
-            Ok(_) => {}
-            Err(NetlistError::InvalidTransform { .. }) => return Ok(None),
-            Err(e) => return Err(e),
-        }
-        CubeSet::generate(&probed_circuit, faults, &self.config.cubes, control).map(Some)
     }
 }
 

@@ -3,9 +3,12 @@
 # generated bench circuits must (a) never report more patterns than the
 # no-TPI baseline, (b) emit a valid plan JSON line whose points replay
 # onto a loadable netlist, (c) meter the work under the atpg.* and
-# compaction.* metric families (PODEM decisions and implications
-# included), and (d) leave the default coverage objective byte-identical
-# to an explicit `--objective coverage` run.
+# compaction.* metric families (PODEM decisions and implications, carried
+# redundancy verdicts and the committed candidates' ranks included), and
+# (d) leave the default coverage objective byte-identical to an explicit
+# `--objective coverage` run. On `results/dag400_s5.bench` (run from the
+# repo root), a circuit with 525 redundant faults, the plan must be the
+# recorded one and probes must carry redundancy verdicts.
 set -euo pipefail
 
 TPI="${TPI:-target/release/tpi}"
@@ -15,7 +18,7 @@ trap 'rm -rf "$dir"' EXIT
 fail() { echo "FAIL: $1" >&2; exit 1; }
 
 # ---- Small random-pattern-resistant circuits (the acceptance suite's
-# ---- shapes, sized for CI: probes re-run full ATPG per candidate). ----
+# ---- shapes, sized for CI: each probe re-runs ATPG for its candidate). ----
 python3 - "$dir" <<'EOF'
 import sys, os
 out = sys.argv[1]
@@ -101,12 +104,36 @@ for key in ("atpg.cubes_generated", "atpg.decisions", "atpg.implications",
             "compaction.cubes", "compaction.conflicts", "compaction.probes",
             "search.rounds"):
     assert doc[key]["type"] == "counter" and doc[key]["value"] >= 1, (key, doc.get(key))
+assert doc["atpg.redundant_carried"]["type"] == "counter", doc.get("atpg.redundant_carried")
 for key in ("compaction.patterns_before", "compaction.patterns_after"):
     assert doc[key]["type"] == "gauge" and doc[key]["value"] >= 1, (key, doc.get(key))
 assert doc["compaction.patterns_after"]["value"] <= doc["compaction.patterns_before"]["value"]
+# One rank sample per committed point.
+rank = doc["compaction.commit_rank"]
+assert rank["type"] == "histogram" and rank["count"] >= 1, rank
 print("metrics families: ok")
 EOF
 done
+
+# ---- A circuit with redundant faults: the recorded plan, and probes that
+# ---- carry redundancy verdicts instead of proving them again. ----
+"$TPI" insert results/dag400_s5.bench --objective patterns --max-points 2 \
+  --metrics-out "$dir/dag400.metrics.json" > "$dir/dag400.out"
+grep '^{' "$dir/dag400.out" | tail -n 1 > "$dir/dag400.json"
+python3 - "$dir/dag400.json" "$dir/dag400.metrics.json" <<'EOF'
+import json, sys
+doc = json.loads(open(sys.argv[1]).read())
+points = [(p["kind"], p["node"]) for p in doc["points"]]
+assert points == [("cp-and", "g168"), ("cp-and", "g168")], doc
+assert (doc["patterns_before"], doc["patterns_after"]) == (51, 45), doc
+metrics = json.load(open(sys.argv[2]))
+carried = metrics["atpg.redundant_carried"]
+assert carried["type"] == "counter" and carried["value"] >= 1, carried
+rank = metrics["compaction.commit_rank"]
+assert rank["type"] == "histogram" and rank["count"] == 2, rank
+print(f"dag400_s5: patterns 51 -> 45 at cp-and g168 twice, "
+      f"{carried['value']} carried redundancy verdicts: ok")
+EOF
 
 # ---- coverage objective untouched: default == explicit, byte for byte. ----
 "$TPI" insert "$dir/cone16.bench" --log2-threshold -8 --method constructive \
