@@ -293,20 +293,20 @@ fn cases() -> Vec<Case> {
 
 #[rustfmt::skip]
 const GOLDEN: &[(&str, &str)] = &[
-    ("dag_i8_g30_s4", "cubes=10 seeds=8 redundant=56 uncovered=0 counters=10/1411/0/56/59 full=97/87/0 full_bt=2243 digest=0xf7dffd0867673ba7"),
-    ("dag_i8_g30_s4+points", "cubes=14 seeds=9 redundant=29 uncovered=0 counters=14/997/0/29/88 full=144/50/0 full_bt=2099 digest=0x3e72d0d02e49b314"),
-    ("dag_i12_g45_s2", "cubes=12 seeds=9 redundant=52 uncovered=0 counters=12/1429/0/52/112 full=179/85/0 full_bt=3168 digest=0x9a30aca761e1d886"),
-    ("dag_i12_g45_s2+points", "cubes=19 seeds=15 redundant=28 uncovered=0 counters=19/532/0/28/135 full=227/47/0 full_bt=1038 digest=0xf3a7006716158f01"),
-    ("dag_i12_g60_s1", "cubes=14 seeds=11 redundant=94 uncovered=0 counters=14/1156/0/94/158 full=213/155/0 full_bt=2034 digest=0x426e0d9e67d285b7"),
-    ("dag_i12_g60_s1+points", "cubes=13 seeds=12 redundant=84 uncovered=0 counters=13/1631/0/84/175 digest=0xb4351aebe6bbb21a"),
-    ("dag_i16_g100_s2", "cubes=29 seeds=23 redundant=150 uncovered=0 counters=29/21437/0/150/232 digest=0x01fcb6a71284c2d5"),
-    ("dag_i16_g100_s2+points", "cubes=28 seeds=21 redundant=111 uncovered=0 counters=28/21445/0/111/278 digest=0x146dc34bdf236b17"),
-    ("dag_i24_g150_s3", "cubes=29 seeds=20 redundant=145 uncovered=0 counters=29/8517/0/145/489 digest=0x9a3607557b2939e3"),
+    ("dag_i8_g30_s4", "cubes=10 seeds=8 redundant=56 uncovered=0 counters=10/647/0/56/59 full=97/87/0 full_bt=1099 digest=0xd228649b9503522e"),
+    ("dag_i8_g30_s4+points", "cubes=14 seeds=9 redundant=29 uncovered=0 counters=14/560/0/29/88 full=144/50/0 full_bt=1147 digest=0xd3f716f4d97314ad"),
+    ("dag_i12_g45_s2", "cubes=12 seeds=9 redundant=52 uncovered=0 counters=12/736/0/52/112 full=179/85/0 full_bt=1447 digest=0x060e7dfe8b85ae12"),
+    ("dag_i12_g45_s2+points", "cubes=19 seeds=15 redundant=28 uncovered=0 counters=19/355/0/28/135 full=227/47/0 full_bt=652 digest=0xe3907ae703dfc386"),
+    ("dag_i12_g60_s1", "cubes=14 seeds=11 redundant=94 uncovered=0 counters=14/488/0/94/158 full=213/155/0 full_bt=831 digest=0x2b2b1e06585d3293"),
+    ("dag_i12_g60_s1+points", "cubes=13 seeds=12 redundant=84 uncovered=0 counters=13/673/0/84/175 digest=0xcc3f18462af63fef"),
+    ("dag_i16_g100_s2", "cubes=29 seeds=23 redundant=150 uncovered=0 counters=29/9543/0/150/232 digest=0xc6e68d2057fe0b1f"),
+    ("dag_i16_g100_s2+points", "cubes=28 seeds=21 redundant=111 uncovered=0 counters=28/7906/0/111/278 digest=0x75ce70d0b66a7ec9"),
+    ("dag_i24_g150_s3", "cubes=29 seeds=20 redundant=145 uncovered=0 counters=29/3268/0/145/489 digest=0xef7a2b59ada76c83"),
     ("mixed_l40_s5", "cubes=44 seeds=41 redundant=0 uncovered=0 counters=44/0/0/0/37 full=156/0/0 full_bt=0 digest=0x871292d97ba95ac7"),
-    ("awkward", "cubes=12 seeds=11 redundant=29 uncovered=0 counters=12/276/0/29/35 full=57/51/0 full_bt=486 digest=0xddbef28115f8ba7b"),
-    ("dag_i12_g60_s1/bt5", "cubes=13 seeds=10 redundant=28 uncovered=67 counters=13/476/67/28/158 full=199/51/118 full_bt=866 digest=0x795c96fb2be0289c"),
-    ("dag_i16_g100_s2/bt5", "cubes=23 seeds=16 redundant=12 uncovered=148 counters=23/945/148/12/228 digest=0x1b1786d94cf5ad66"),
-    ("dag_i12_g60_s3/patterns", "cubes=17 seeds=15 redundant=65 uncovered=0 counters=17/1276/0/65/177 full=254/112/0 full_bt=3171 plan=[cp-and:g55 cp-or:g44] patterns=15->12 digest=0x7f2974a3fc6ea658"),
+    ("awkward", "cubes=12 seeds=11 redundant=29 uncovered=0 counters=12/0/0/29/35 full=57/51/0 full_bt=0 digest=0xa2a93abba2fa0687"),
+    ("dag_i12_g60_s1/bt5", "cubes=14 seeds=11 redundant=61 uncovered=33 counters=14/374/33/61/158 full=213/105/50 full_bt=666 digest=0xd6d90cfdf15a3599"),
+    ("dag_i16_g100_s2/bt5", "cubes=25 seeds=18 redundant=25 uncovered=130 counters=25/885/130/25/231 digest=0x17d4f6aef371d3e7"),
+    ("dag_i12_g60_s3/patterns", "cubes=17 seeds=15 redundant=65 uncovered=0 counters=17/1053/0/65/177 full=254/112/0 full_bt=2521 plan=[cp-and:g55 cp-or:g44] patterns=15->12 digest=0x2c7fe2f2a23a01f2"),
 ];
 
 #[test]
