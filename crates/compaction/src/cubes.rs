@@ -5,13 +5,14 @@
 //! A probe ([`CubeSet::probe`]) builds the set of the circuit with one
 //! more test point. It runs the same generator, except that a fault this
 //! set proved redundant keeps its verdict without a new PODEM search
-//! when its fanout cone and the point line's are disjoint: then the
-//! point changes nothing PODEM reads while it searches for that fault.
+//! when the point changes nothing PODEM reads while it searches for
+//! that fault.
 
 use tpi_atpg::topoff::{self, TopoffResult};
 use tpi_atpg::{AtpgCounters, PodemConfig, TestCube};
+use tpi_netlist::analysis::dirty_line_mask;
 use tpi_netlist::transform::apply_test_point;
-use tpi_netlist::{Circuit, NetlistError, NodeId, TestPoint, Topology};
+use tpi_netlist::{Circuit, NetlistError, TestPoint, Topology};
 use tpi_sim::{Fault, RunControl, StopReason};
 
 /// Tuning for cube-set generation.
@@ -87,12 +88,14 @@ impl CubeSet {
     ///
     /// Equal to [`CubeSet::generate`] on the probed circuit, counters
     /// aside: a fault of [`redundant`](CubeSet::redundant) whose origin
-    /// (the stem, or a branch's gate) has a fanout cone disjoint from
-    /// the point line's keeps its verdict without a PODEM search. Every
-    /// line the point changes lies in FO*(`point.node`), so such a fault
-    /// sees no change anywhere in FI*(FO*(origin)) — no value, SCOAP
-    /// measure, fanin order or output flag — and PODEM would repeat the
-    /// same untestable search there (DESIGN §6.2k).
+    /// (the stem, or a branch's gate) is clean in
+    /// [`dirty_line_mask`] keeps its verdict without a PODEM search. For
+    /// a control or full point at `v` that means FO*(origin) and
+    /// FO*(`v`) are disjoint; for an observe point, that `v` is not in
+    /// FO*(origin). Such a fault sees no change anywhere in
+    /// FI*(FO*(origin)) — no value, SCOAP measure, fanin order or output
+    /// flag — so PODEM would repeat the same untestable search there
+    /// (DESIGN §6.2k).
     ///
     /// # Errors
     ///
@@ -106,17 +109,22 @@ impl CubeSet {
         control: &RunControl,
     ) -> Result<Option<CubeSet>, NetlistError> {
         let mut probed = circuit.clone();
-        match apply_test_point(&mut probed, point) {
-            Ok(_) => {}
+        let applied = match apply_test_point(&mut probed, point) {
+            Ok(applied) => applied,
             Err(NetlistError::InvalidTransform { .. }) => return Ok(None),
             Err(e) => return Err(e),
-        }
-        let touched = fanin_of_fanout(circuit, &Topology::of(circuit)?, point.node);
+        };
+        let dirty = dirty_line_mask(
+            &probed,
+            &Topology::of(&probed)?,
+            circuit.node_count(),
+            applied.observed.as_slice(),
+        );
         let carried: Vec<Fault> = self
             .redundant
             .iter()
             .copied()
-            .filter(|f| !touched[f.origin().index()])
+            .filter(|f| !dirty[f.origin().index()])
             .collect();
         CubeSet::generate_carrying(&probed, faults, config, control, &carried).map(Some)
     }
@@ -169,27 +177,6 @@ impl CubeSet {
     pub fn is_empty(&self) -> bool {
         self.cubes.is_empty()
     }
-}
-
-/// Membership in FI*(FO*(`v`)) by node index: the lines that share a
-/// fanout-cone line with `v`. A node `o` is outside it exactly when
-/// FO*(`o`) and FO*(`v`) are disjoint.
-fn fanin_of_fanout(circuit: &Circuit, topo: &Topology, v: NodeId) -> Vec<bool> {
-    let mut marked = vec![false; circuit.node_count()];
-    marked[v.index()] = true;
-    for &id in topo.order() {
-        if circuit.fanins(id).iter().any(|f| marked[f.index()]) {
-            marked[id.index()] = true;
-        }
-    }
-    for &id in topo.order().iter().rev() {
-        if marked[id.index()] {
-            for &f in circuit.fanins(id) {
-                marked[f.index()] = true;
-            }
-        }
-    }
-    marked
 }
 
 #[cfg(test)]

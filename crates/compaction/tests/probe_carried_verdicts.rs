@@ -2,8 +2,9 @@
 //! exactly the cube set a from-scratch generation builds.
 //!
 //! `CubeSet::probe` records a fault the current set proved redundant as
-//! redundant again, without a PODEM search, when its origin's fanout
-//! cone and the point line's are disjoint. Over seeded random DAGs of
+//! redundant again, without a PODEM search, when its origin is clean in
+//! `dirty_line_mask`: for a control or full point, when the origin's
+//! fanout cone and the point line's are disjoint. Over seeded random DAGs of
 //! 30–200 gates, each also with a CP-AND, CP-OR, OP and full point
 //! already applied (so node ids stop being topological), every kind of
 //! point is probed at lines spread over the netlist and at lines in
