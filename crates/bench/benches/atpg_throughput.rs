@@ -71,7 +71,7 @@ fn main() {
 /// The measurement suite: the shapes the patterns objective is accepted
 /// on, plus a reconvergent random DAG for a non-suite data point. Sized
 /// so a min-of-30 pass stays interactive (each e2e iteration re-runs
-/// full ATPG per probe).
+/// ATPG per probe).
 fn suite() -> Vec<(&'static str, Circuit)> {
     vec![
         ("and_tree_16", rpr::and_tree(16, 1).expect("suite circuit")),

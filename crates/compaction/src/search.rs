@@ -7,14 +7,13 @@
 //! promising ones — rebuild and repack the cube set of a clone of the
 //! circuit with the candidate applied ([`CubeSet::probe`]) — and commit
 //! only a probed strict improvement. A probe equals a full
-//! regeneration but skips the PODEM searches of redundant faults whose
-//! verdict the point cannot change (disjoint fanout cones), so most of
-//! its time goes to the faults near the point. Because every commit is
-//! refereed by the real objective, the final pattern count never
-//! exceeds the no-TPI baseline, and an interrupted run returns the
-//! exact prefix committed so far (the same anytime contract as the
-//! coverage optimizers). The `compaction.commit_rank` histogram records
-//! each committed candidate's 0-based position in the ranking.
+//! regeneration, except that it skips the PODEM search of every fault
+//! the current set proved redundant and the point cannot reach. Because
+//! every commit is refereed by the real objective, the final pattern
+//! count never exceeds the no-TPI baseline, and an interrupted run
+//! returns the exact prefix committed so far (the same anytime contract
+//! as the coverage optimizers). The `compaction.commit_rank` histogram
+//! records each committed candidate's 0-based position in the ranking.
 
 use tpi_atpg::AtpgCounters;
 use tpi_core::{CostModel, Plan};

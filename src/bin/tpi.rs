@@ -670,9 +670,10 @@ fn insert_patterns(flags: &Flags) -> Result<(), String> {
     };
     // PODEM search budget per fault: large circuits with deep
     // reconvergence burn the default 50k limit on every aborted fault,
-    // and the probes re-pay it per candidate. Faults aborted under a
-    // tighter budget count as uncovered, and the commit rule refuses
-    // uncovered growth, so the reduction guarantee is unaffected.
+    // and every probe pays it again (a probe carries redundancy
+    // verdicts, never aborts). Faults aborted under a tighter budget
+    // count as uncovered, and the commit rule refuses uncovered growth,
+    // so the reduction guarantee is unaffected.
     if let Some(max_backtracks) = flags.opt_num::<u64>("max-backtracks")? {
         config.cubes.podem.max_backtracks = max_backtracks;
     }
