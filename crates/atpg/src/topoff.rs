@@ -122,15 +122,14 @@ pub fn generate_controlled(
             uncovered.extend(remaining.iter().copied());
             break;
         }
-        if carried.binary_search(&fault).is_ok() {
-            redundant.push(fault);
-            remaining.swap_remove(0);
-            counters.redundant_faults += 1;
+        let outcome = if carried.binary_search(&fault).is_ok() {
             counters.redundant_carried += 1;
-            continue;
-        }
-        let outcome = podem.generate(fault)?;
-        counters.record_search(&podem);
+            PodemResult::Untestable
+        } else {
+            let outcome = podem.generate(fault)?;
+            counters.record_search(&podem);
+            outcome
+        };
         match outcome {
             PodemResult::Test(cube) => {
                 let pattern = cube.filled_with(|| rng.gen());
