@@ -317,7 +317,9 @@ impl PatternsOptimizer {
     /// analyse conflicts, rank, probe, and return the best improving
     /// candidate *without* mutating anything. The incremental engine
     /// drives this directly so it can keep the cube set in its
-    /// version-keyed cache.
+    /// version-keyed cache. `current` must be the cube set of `circuit`
+    /// over `faults` under this optimizer's [`PatternsConfig::cubes`]:
+    /// probes carry its redundancy verdicts ([`CubeSet::probe`]).
     ///
     /// # Errors
     ///
