@@ -1,5 +1,5 @@
 //! Differential test: a probe that carries redundancy verdicts builds
-//! exactly the cube set a from-scratch generation builds.
+//! exactly the cube set a fresh generation builds.
 //!
 //! `CubeSet::probe` records a fault the current set proved redundant as
 //! redundant again, without a PODEM search, when its origin is clean in
@@ -86,8 +86,8 @@ fn check(circuit: &Circuit, config: &CubeConfig, label: &str) -> (usize, u64) {
             let probed = current
                 .probe(circuit, point, faults, config, &control)
                 .unwrap();
-            let mut scratch = circuit.clone();
-            match apply_test_point(&mut scratch, point) {
+            let mut rebuilt = circuit.clone();
+            match apply_test_point(&mut rebuilt, point) {
                 Ok(_) => {}
                 Err(NetlistError::InvalidTransform { .. }) => {
                     assert!(probed.is_none(), "{what}: probe of an invalid point");
@@ -96,7 +96,7 @@ fn check(circuit: &Circuit, config: &CubeConfig, label: &str) -> (usize, u64) {
                 Err(e) => panic!("{what}: {e}"),
             }
             let probed = probed.unwrap_or_else(|| panic!("{what}: probe refused a valid point"));
-            let fresh = CubeSet::generate(&scratch, faults, config, &control).unwrap();
+            let fresh = CubeSet::generate(&rebuilt, faults, config, &control).unwrap();
             assert_eq!(probed.cubes, fresh.cubes, "{what}: cubes");
             assert_eq!(probed.targets, fresh.targets, "{what}: targets");
             assert_eq!(probed.merged, fresh.merged, "{what}: merged set");
