@@ -34,6 +34,10 @@ pub struct AtpgCounters {
     /// circuit before a test point, without a PODEM search (see
     /// [`topoff::generate_controlled`](crate::topoff::generate_controlled)).
     pub redundant_carried: u64,
+    /// PODEM searches run with the X-path check aimed at a test point
+    /// ([`Podem::generate_aimed`]): faults the circuit before the point
+    /// proved redundant whose verdict the point may overturn.
+    pub redundant_rechecked: u64,
     /// Faults dropped by cube fault-simulation beyond the targeted one
     /// (fortuitous detections).
     pub fortuitous_drops: u64,
@@ -49,6 +53,7 @@ impl AtpgCounters {
         self.aborted_faults += other.aborted_faults;
         self.redundant_faults += other.redundant_faults;
         self.redundant_carried += other.redundant_carried;
+        self.redundant_rechecked += other.redundant_rechecked;
         self.fortuitous_drops += other.fortuitous_drops;
     }
 
@@ -79,6 +84,9 @@ impl AtpgCounters {
             .counter("atpg.redundant_carried")
             .add(self.redundant_carried);
         registry
+            .counter("atpg.redundant_rechecked")
+            .add(self.redundant_rechecked);
+        registry
             .counter("atpg.fortuitous_drops")
             .add(self.fortuitous_drops);
     }
@@ -98,6 +106,7 @@ mod tests {
             aborted_faults: 3,
             redundant_faults: 4,
             redundant_carried: 8,
+            redundant_rechecked: 9,
             fortuitous_drops: 5,
         };
         a.merge(&a.clone());
@@ -111,6 +120,7 @@ mod tests {
                 aborted_faults: 6,
                 redundant_faults: 8,
                 redundant_carried: 16,
+                redundant_rechecked: 18,
                 fortuitous_drops: 10,
             }
         );
@@ -127,6 +137,7 @@ mod tests {
             aborted_faults: 1,
             redundant_faults: 2,
             redundant_carried: 4,
+            redundant_rechecked: 5,
             fortuitous_drops: 3,
         };
         c.publish_to(&registry);
@@ -137,5 +148,6 @@ mod tests {
         assert_eq!(registry.counter("atpg.implications").get(), 26);
         assert_eq!(registry.counter("atpg.aborted_faults").get(), 2);
         assert_eq!(registry.counter("atpg.redundant_carried").get(), 8);
+        assert_eq!(registry.counter("atpg.redundant_rechecked").get(), 10);
     }
 }

@@ -15,7 +15,9 @@
 //!   topologically numbered netlist holding both machines' values in
 //!   one byte per line, and backtracking restores values from an undo
 //!   trail. Returns a [`TestCube`], a proof of untestability, or an
-//!   abort;
+//!   abort. [`Podem::generate_aimed`] re-proves a fault that was
+//!   redundant before a test point with its X-path check aimed at the
+//!   outputs the point can newly affect ([`Aim`]);
 //! * [`redundancy`] — sweep a fault list into testable / redundant /
 //!   aborted classes;
 //! * [`topoff`] — generate a compact cube set covering a fault list, with
@@ -55,5 +57,5 @@ mod value;
 
 pub use counters::AtpgCounters;
 pub use cube::TestCube;
-pub use podem::{Podem, PodemConfig, PodemResult};
+pub use podem::{Aim, Podem, PodemConfig, PodemResult};
 pub use value::Ternary;

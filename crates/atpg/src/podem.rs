@@ -1,4 +1,6 @@
-use tpi_netlist::{Circuit, GateKind, NetlistError, Topology};
+use tpi_netlist::analysis::reachable_outputs;
+use tpi_netlist::transform::AppliedTestPoint;
+use tpi_netlist::{Circuit, GateKind, NetlistError, NodeId, Topology};
 use tpi_sim::{Fault, FaultSite};
 use tpi_testability::ScoapAnalysis;
 
@@ -33,6 +35,44 @@ pub enum PodemResult {
     Aborted,
 }
 
+/// Where the X-path of an aimed search must end
+/// ([`Podem::generate_aimed`]): the outputs at which a test can still
+/// show the fault, and a line no detecting path passes through.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Aim {
+    /// The outputs a detecting path may end at.
+    pub outputs: Vec<NodeId>,
+    /// A line no detecting path passes through.
+    pub blocked: Option<NodeId>,
+}
+
+impl Aim {
+    /// The aim for a fault that was redundant before `applied` went into
+    /// the circuit; `circuit` is the circuit after it and `topo` its
+    /// topology. For an observe point at `v` the only output is `v`; for
+    /// a control point `g = AND/OR(v, r)` the outputs are those in
+    /// FO*(`g`) and `g` is blocked; for a full point with input `r` they
+    /// are `v` and the outputs in FO*(`r`).
+    ///
+    /// Outside the fanout cone of the point's new nodes the circuit
+    /// computes, in both machines, what the old circuit computes under
+    /// the same assignment of the old inputs, so a D at any other output
+    /// would be a test there. A control point's gate carries a D only
+    /// while `r` sits at its pass value, and there the circuit behaves
+    /// as the old one did, so a test never needs a path through `g`
+    /// (DESIGN §6.2k).
+    pub fn after_point(circuit: &Circuit, topo: &Topology, applied: &AppliedTestPoint) -> Aim {
+        let mut outputs: Vec<NodeId> = applied.observed.into_iter().collect();
+        if let Some(r) = applied.aux_input {
+            outputs.extend(reachable_outputs(circuit, topo, r));
+        }
+        Aim {
+            outputs,
+            blocked: applied.cp_gate,
+        }
+    }
+}
+
 /// Sentinel position: no node.
 const NONE: usize = usize::MAX;
 
@@ -60,7 +100,9 @@ const NONE: usize = usize::MAX;
 /// are those of re-simulating both machines after every decision. The
 /// X-path check prunes only subtrees without a test, so it changes no
 /// cube or verdict either; it only lets a search finish that would
-/// otherwise have hit [`PodemConfig::max_backtracks`].
+/// otherwise have hit [`PodemConfig::max_backtracks`]. An aimed search
+/// ([`Podem::generate_aimed`]) runs the same check toward a narrower set
+/// of outputs.
 #[derive(Clone, Debug)]
 pub struct Podem {
     config: PodemConfig,
@@ -104,6 +146,10 @@ pub struct Podem {
     cone_outputs: Vec<u32>,
     /// Cone-membership scratch, all `false` between calls.
     in_cone: Vec<bool>,
+    /// The X-path ends of an aimed call by position (all `false`
+    /// between calls), and the position no path may cross.
+    aim_ends: Vec<bool>,
+    aim_blocked: usize,
     /// X-path search: the visit stamp of each position, the stamp of the
     /// current search, and its stack.
     seen: Vec<u32>,
@@ -228,6 +274,8 @@ impl Podem {
             cone: Vec::new(),
             cone_outputs: Vec::new(),
             in_cone: vec![false; n],
+            aim_ends: vec![false; n],
+            aim_blocked: NONE,
             seen: vec![0; n],
             stamp: 0,
             path: Vec::new(),
@@ -238,20 +286,21 @@ impl Podem {
         })
     }
 
-    /// Backtracks consumed by the most recent
-    /// [`generate`](Podem::generate) call.
+    /// Backtracks consumed by the most recent search
+    /// ([`generate`](Podem::generate) or
+    /// [`generate_aimed`](Podem::generate_aimed)).
     pub fn last_backtracks(&self) -> u64 {
         self.last_backtracks
     }
 
-    /// Primary-input assignments made by the most recent
-    /// [`generate`](Podem::generate) call, flips included.
+    /// Primary-input assignments made by the most recent search, flips
+    /// included.
     pub fn last_decisions(&self) -> u64 {
         self.last_decisions
     }
 
     /// Gate evaluations by the implication kernel in the most recent
-    /// [`generate`](Podem::generate) call (its initial sweep included).
+    /// search (its initial sweep included).
     pub fn last_implications(&self) -> u64 {
         self.last_implications
     }
@@ -263,6 +312,38 @@ impl Podem {
     /// Infallible after construction today; the `Result` keeps room for
     /// richer fault models.
     pub fn generate(&mut self, fault: Fault) -> Result<PodemResult, NetlistError> {
+        Ok(self.search(fault, false))
+    }
+
+    /// Generate a test for `fault` with the X-path check aimed at `aim`:
+    /// a path from the fault's origin must end at one of `aim.outputs`
+    /// and avoid `aim.blocked`. The caller vouches that every test of
+    /// `fault` has such a path (as [`Aim::after_point`] does for a fault
+    /// that was redundant before a test point). Then the check prunes
+    /// only subtrees without a test: the result is that of
+    /// [`generate`](Podem::generate), with no more backtracks, except that
+    /// a search `generate` aborts may end in a verdict. `aim` names nodes
+    /// of the circuit this generator was built for.
+    ///
+    /// # Errors
+    ///
+    /// As [`generate`](Podem::generate).
+    pub fn generate_aimed(&mut self, fault: Fault, aim: &Aim) -> Result<PodemResult, NetlistError> {
+        for &o in &aim.outputs {
+            self.aim_ends[self.pos_of[o.index()] as usize] = true;
+        }
+        self.aim_blocked = aim
+            .blocked
+            .map_or(NONE, |b| self.pos_of[b.index()] as usize);
+        let result = self.search(fault, true);
+        for &o in &aim.outputs {
+            self.aim_ends[self.pos_of[o.index()] as usize] = false;
+        }
+        Ok(result)
+    }
+
+    /// The PODEM search for `fault`, its X-path check aimed if `aimed`.
+    fn search(&mut self, fault: Fault, aimed: bool) -> PodemResult {
         self.start(fault);
         let mut assignment: Vec<Ternary> = vec![Ternary::X; self.input_pos.len()];
         let mut backtracks = 0u64;
@@ -272,7 +353,7 @@ impl Podem {
             if self.detected() {
                 break PodemResult::Test(TestCube::new(assignment));
             }
-            let decision = if self.x_path() {
+            let decision = if self.x_path(aimed) {
                 self.objective()
                     .and_then(|(pos, value)| self.backtrace(pos, value))
             } else {
@@ -320,7 +401,7 @@ impl Podem {
         };
         self.last_backtracks = backtracks;
         self.last_decisions = decisions;
-        Ok(result)
+        result
     }
 
     /// Set up a call: translate `fault` to positions, sweep the whole
@@ -481,14 +562,20 @@ impl Podem {
     /// machine. A settled line stays settled under every extension of
     /// the assignment, and a detecting extension has a path of lines
     /// whose machines differ, so without such a path nothing below the
-    /// current decision detects the fault.
-    fn x_path(&mut self) -> bool {
+    /// current decision detects the fault. If `aimed`, the path must end
+    /// at an aim output and avoid the blocked position instead.
+    fn x_path(&mut self, aimed: bool) -> bool {
+        let (ends, blocked) = if aimed {
+            (&self.aim_ends, self.aim_blocked)
+        } else {
+            (&self.is_output, NONE)
+        };
         let root = if self.fault.stem == NONE {
             self.fault.gate
         } else {
             self.fault.stem
         };
-        if self.vals[root].is_settled() {
+        if self.vals[root].is_settled() || root == blocked {
             return false;
         }
         self.stamp = self.stamp.wrapping_add(1);
@@ -501,14 +588,14 @@ impl Podem {
         self.path.push(root as u32);
         while let Some(pos) = self.path.pop() {
             let pos = pos as usize;
-            if self.is_output[pos] {
+            if ends[pos] {
                 return true;
             }
             for &fo in
                 &self.fanouts[self.fanout_start[pos] as usize..self.fanout_start[pos + 1] as usize]
             {
                 let fo = fo as usize;
-                if self.seen[fo] != self.stamp && !self.vals[fo].is_settled() {
+                if self.seen[fo] != self.stamp && fo != blocked && !self.vals[fo].is_settled() {
                     self.seen[fo] = self.stamp;
                     self.path.push(fo as u32);
                 }
@@ -636,7 +723,7 @@ impl Podem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpi_netlist::{CircuitBuilder, NodeId};
+    use tpi_netlist::{CircuitBuilder, NodeId, TestPoint};
     use tpi_sim::montecarlo;
 
     fn verify_cube(circuit: &Circuit, fault: Fault, cube: &TestCube) {
@@ -1076,6 +1163,267 @@ mod tests {
         assert_eq!(podem.generate(fault).unwrap(), PodemResult::Untestable);
         assert_eq!(podem.last_backtracks(), 1);
         assert_eq!(podem.last_decisions(), 2);
+    }
+
+    /// `circuit` with `point` applied, and the aim of a fault that was
+    /// redundant before it.
+    fn probed(circuit: &Circuit, point: TestPoint) -> (Circuit, Aim) {
+        let mut probed = circuit.clone();
+        let applied = tpi_netlist::transform::apply_test_point(&mut probed, point).unwrap();
+        let aim = Aim::after_point(&probed, &Topology::of(&probed).unwrap(), &applied);
+        (probed, aim)
+    }
+
+    #[test]
+    fn aim_targets_the_outputs_a_point_can_newly_affect() {
+        // a, b -> m = AND(a, b) -> z = OR(m, c) -> output; m also feeds
+        // the output n = NOT(m).
+        let mut b = CircuitBuilder::new("c");
+        let [a, bb, c] = [b.input("a"), b.input("b"), b.input("c")];
+        let m = b.gate(GateKind::And, vec![a, bb], "m").unwrap();
+        let z = b.gate(GateKind::Or, vec![m, c], "z").unwrap();
+        let n = b.gate(GateKind::Not, vec![m], "n").unwrap();
+        b.output(z);
+        b.output(n);
+        let circuit = b.finish().unwrap();
+        let (_, aim) = probed(&circuit, TestPoint::observe(a));
+        assert_eq!(aim.outputs, [a]);
+        assert_eq!(aim.blocked, None);
+        let (cp, aim) = probed(&circuit, TestPoint::control_or(m));
+        let g = NodeId::from_index(circuit.node_count() + 1);
+        assert_eq!(cp.fanins(z)[0], g);
+        assert_eq!(aim.outputs, [z, n]);
+        assert_eq!(aim.blocked, Some(g));
+        let (full, aim) = probed(&circuit, TestPoint::full(m));
+        let r = NodeId::from_index(circuit.node_count());
+        assert_eq!(full.fanins(n), [r]);
+        assert_eq!(aim.outputs, [m, z, n]);
+        assert_eq!(aim.blocked, None);
+    }
+
+    /// A 2^`width`-leaf decision tree: `y = AND(p, NOT(p))` over a
+    /// `width`-input XOR tree `p`, so `y` is 0 and `y`/SA0 can be excited
+    /// only by an assignment that does not exist — proving it exhausts
+    /// every assignment of the tree's inputs.
+    fn contradiction(b: &mut CircuitBuilder, width: usize) -> NodeId {
+        let xs = b.inputs(width, "x");
+        let p = b.balanced_tree(GateKind::Xor, &xs, "p").unwrap();
+        let np = b.gate(GateKind::Not, vec![p], "np").unwrap();
+        b.gate(GateKind::And, vec![p, np], "y").unwrap()
+    }
+
+    #[test]
+    fn aimed_reproof_behind_a_control_point_needs_fewer_backtracks() {
+        // y is observed directly and also feeds w = AND(y, q), whose only
+        // reader is z = OR(w, u). After a CP at w, y reaches z only
+        // through the point's gate, so the aimed search ends at once,
+        // while the plain search still sees the X-path to output y.
+        let mut b = CircuitBuilder::new("cp");
+        let y = contradiction(&mut b, 8);
+        let [q, u] = [b.input("q"), b.input("u")];
+        let w = b.gate(GateKind::And, vec![y, q], "w").unwrap();
+        let z = b.gate(GateKind::Or, vec![w, u], "z").unwrap();
+        b.output(y);
+        b.output(z);
+        let circuit = b.finish().unwrap();
+        let fault = Fault::stem_sa0(y);
+        assert_eq!(
+            Podem::new(&circuit).unwrap().generate(fault).unwrap(),
+            PodemResult::Untestable
+        );
+        let (cp, aim) = probed(&circuit, TestPoint::control_and(w));
+        assert_eq!(aim.outputs, [z]);
+        let mut podem = Podem::new(&cp).unwrap();
+        assert_eq!(podem.generate(fault).unwrap(), PodemResult::Untestable);
+        let plain = podem.last_backtracks();
+        assert_eq!(
+            podem.generate_aimed(fault, &aim).unwrap(),
+            PodemResult::Untestable
+        );
+        assert!(plain >= 255, "{plain} backtracks");
+        assert_eq!(podem.last_backtracks(), 0);
+        assert_eq!(podem.last_decisions(), 0);
+    }
+
+    #[test]
+    fn aimed_reproof_behind_an_observe_point_needs_fewer_backtracks() {
+        // g = AND(s, p) over an XOR tree p, branch fault g.s/SA1: its
+        // excitation sets s = 0, which settles o = AND(g, s), the line the
+        // observe point taps. The only output, z = AND(g, k), is blocked by
+        // k = AND(w, NOT(w)) = 0, but only once w is set, and nothing
+        // makes the plain search set w before p is decided; the aimed
+        // search gives up as soon as o settles.
+        let mut b = CircuitBuilder::new("op");
+        let s = b.input("s");
+        let xs = b.inputs(8, "x");
+        let p = b.balanced_tree(GateKind::Xor, &xs, "p").unwrap();
+        let g = b.gate(GateKind::And, vec![s, p], "g").unwrap();
+        let o = b.gate(GateKind::And, vec![g, s], "o").unwrap();
+        let w = b.input("w");
+        let nw = b.gate(GateKind::Not, vec![w], "nw").unwrap();
+        let k = b.gate(GateKind::And, vec![w, nw], "k").unwrap();
+        let z = b.gate(GateKind::And, vec![g, k], "z").unwrap();
+        b.output(z);
+        let circuit = b.finish().unwrap();
+        let fault = Fault {
+            site: FaultSite::Branch { gate: g, pin: 0 },
+            stuck: true,
+        };
+        assert_eq!(
+            Podem::new(&circuit).unwrap().generate(fault).unwrap(),
+            PodemResult::Untestable
+        );
+        let (op, aim) = probed(&circuit, TestPoint::observe(o));
+        assert_eq!(aim.outputs, [o]);
+        let mut podem = Podem::new(&op).unwrap();
+        assert_eq!(podem.generate(fault).unwrap(), PodemResult::Untestable);
+        let plain = podem.last_backtracks();
+        assert_eq!(
+            podem.generate_aimed(fault, &aim).unwrap(),
+            PodemResult::Untestable
+        );
+        assert!(plain >= 255, "{plain} backtracks");
+        assert_eq!(podem.last_backtracks(), 1);
+    }
+
+    #[test]
+    fn aimed_search_finds_the_cube_a_point_makes_possible() {
+        // m = AND(a, b) reaches the output z = AND(m, k) only, and
+        // k = AND(w, NOT(w)) = 0 masks it: a/SA0 and m/SA0 are redundant.
+        // An OR-type control point on k and an observe point on m each
+        // make them testable.
+        let mut b = CircuitBuilder::new("masked");
+        let [a, bb, w] = [b.input("a"), b.input("b"), b.input("w")];
+        let m = b.gate(GateKind::And, vec![a, bb], "m").unwrap();
+        let nw = b.gate(GateKind::Not, vec![w], "nw").unwrap();
+        let k = b.gate(GateKind::And, vec![w, nw], "k").unwrap();
+        let z = b.gate(GateKind::And, vec![m, k], "z").unwrap();
+        b.output(z);
+        let circuit = b.finish().unwrap();
+        let faults = [Fault::stem_sa0(a), Fault::stem_sa0(m)];
+        let mut podem = Podem::new(&circuit).unwrap();
+        for fault in faults {
+            assert_eq!(podem.generate(fault).unwrap(), PodemResult::Untestable);
+        }
+        for point in [TestPoint::control_or(k), TestPoint::observe(m)] {
+            let (c, aim) = probed(&circuit, point);
+            let mut podem = Podem::new(&c).unwrap();
+            for fault in faults {
+                let plain = podem.generate(fault).unwrap();
+                let PodemResult::Test(cube) = &plain else {
+                    panic!("{point}: {} stays redundant", fault.describe(&c));
+                };
+                verify_cube(&c, fault, cube);
+                assert_eq!(podem.generate_aimed(fault, &aim).unwrap(), plain);
+            }
+        }
+    }
+
+    #[test]
+    fn control_point_on_an_unshared_output_ends_every_reproof_at_once() {
+        // y = AND(p, NOT(p)) is an output with no other reader, so every
+        // fault of the XOR tree, p, NOT(p) and y/SA0 is redundant. A CP
+        // on y moves the output to its gate g, the only aim output and
+        // the blocked line at once: no path can reach it.
+        let mut b = CircuitBuilder::new("po");
+        let y = contradiction(&mut b, 6);
+        b.output(y);
+        let circuit = b.finish().unwrap();
+        let universe = tpi_sim::FaultUniverse::full(&circuit).unwrap();
+        let mut podem = Podem::new(&circuit).unwrap();
+        let redundant: Vec<Fault> = universe
+            .faults()
+            .iter()
+            .copied()
+            .filter(|&f| podem.generate(f).unwrap() == PodemResult::Untestable)
+            .collect();
+        assert!(redundant.len() >= 20, "{} redundant", redundant.len());
+        let (cp, aim) = probed(&circuit, TestPoint::control_and(y));
+        assert_eq!(aim.outputs, [aim.blocked.unwrap()]);
+        let mut podem = Podem::new(&cp).unwrap();
+        let mut plain = 0;
+        for &fault in &redundant {
+            assert_eq!(podem.generate(fault).unwrap(), PodemResult::Untestable);
+            plain += podem.last_backtracks();
+            assert_eq!(
+                podem.generate_aimed(fault, &aim).unwrap(),
+                PodemResult::Untestable
+            );
+            assert_eq!(podem.last_backtracks(), 0, "{}", fault.describe(&cp));
+            assert_eq!(podem.last_decisions(), 0, "{}", fault.describe(&cp));
+        }
+        assert!(plain >= 63, "{plain} backtracks");
+    }
+
+    /// Over seeded random DAGs, with and without test points already
+    /// applied, every kind of point at lines spread over the netlist:
+    /// each fault PODEM proved redundant before the point gets the same
+    /// outcome and cube from the aimed search as from the plain one on
+    /// the probed circuit, never with more backtracks.
+    #[test]
+    fn aimed_search_agrees_with_the_plain_search_on_random_dags() {
+        use tpi_gen::dags::{random_dag, RandomDagConfig};
+        use tpi_netlist::transform::apply_plan;
+        use tpi_netlist::TestPointKind;
+        let (mut plain_total, mut aimed_total, mut tests) = (0u64, 0u64, 0usize);
+        for seed in 0..12u64 {
+            let dag = random_dag(&RandomDagConfig::new(
+                6 + seed as usize % 4,
+                24 + 6 * seed as usize,
+                seed,
+            ))
+            .unwrap();
+            let n = dag.node_count();
+            let circuit = if seed % 2 == 0 {
+                dag
+            } else {
+                let plan = [
+                    TestPoint::new(NodeId::from_index(n / 2), TestPointKind::ControlOr),
+                    TestPoint::new(NodeId::from_index(2 * n / 3), TestPointKind::Observe),
+                ];
+                apply_plan(&dag, &plan).unwrap().0
+            };
+            let universe = tpi_sim::FaultUniverse::full(&circuit).unwrap();
+            let mut podem = Podem::new(&circuit).unwrap();
+            let redundant: Vec<Fault> = universe
+                .faults()
+                .iter()
+                .copied()
+                .filter(|&f| podem.generate(f).unwrap() == PodemResult::Untestable)
+                .collect();
+            let n = circuit.node_count();
+            for line in (1..6).map(|k| NodeId::from_index(n * k / 6)) {
+                for kind in TestPointKind::ALL {
+                    let point = TestPoint::new(line, kind);
+                    let mut c = circuit.clone();
+                    let Ok(applied) = tpi_netlist::transform::apply_test_point(&mut c, point)
+                    else {
+                        continue;
+                    };
+                    let aim = Aim::after_point(&c, &Topology::of(&c).unwrap(), &applied);
+                    let mut podem = Podem::new(&c).unwrap();
+                    for &fault in &redundant {
+                        let what = format!("seed {seed} {point}: {}", fault.describe(&c));
+                        let plain = podem.generate(fault).unwrap();
+                        let backtracks = podem.last_backtracks();
+                        let aimed = podem.generate_aimed(fault, &aim).unwrap();
+                        assert_ne!(plain, PodemResult::Aborted, "{what}");
+                        assert_eq!(aimed, plain, "{what}");
+                        assert!(podem.last_backtracks() <= backtracks, "{what}");
+                        if let PodemResult::Test(cube) = &aimed {
+                            verify_cube(&c, fault, cube);
+                            tests += 1;
+                        }
+                        plain_total += backtracks;
+                        aimed_total += podem.last_backtracks();
+                    }
+                }
+            }
+        }
+        // Not vacuous: points make some redundant faults testable, and
+        // the aim cuts re-proofs' backtracks.
+        assert!(tests >= 10, "{tests} tests");
+        assert!(aimed_total < plain_total, "{aimed_total} of {plain_total}");
     }
 
     #[test]

@@ -10,17 +10,36 @@
 //!
 //! The same generator builds the pattern-count objective's cube sets
 //! (`tpi-compaction`), whose probes regenerate a set after one test
-//! point. A probe hands [`generate_controlled`] the faults whose
-//! redundancy verdict carries over unchanged from the circuit before the
-//! point; each is recorded as redundant at its turn without a PODEM
-//! search, so the result equals a run that proves it again.
+//! point. A probe hands [`generate_controlled`] the faults the circuit
+//! before the point proved redundant ([`PriorRedundancy`]): those whose
+//! verdict carries over unchanged are recorded as redundant at their
+//! turn without a PODEM search, and the others are searched with the
+//! X-path check aimed at the outputs the point can newly affect. The
+//! result equals a plain run, except that a search the plain run aborts
+//! may end in a verdict.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tpi_netlist::{Circuit, NetlistError};
 use tpi_sim::{Fault, FaultSimulator, PatternSource, RunControl, StopReason};
 
-use crate::{AtpgCounters, Podem, PodemConfig, PodemResult, TestCube};
+use crate::{Aim, AtpgCounters, Podem, PodemConfig, PodemResult, TestCube};
+
+/// The faults the circuit before one test point proved redundant, as a
+/// probe hands them to [`generate_controlled`], split by whether the
+/// point can overturn their verdict.
+#[derive(Clone, Debug, Default)]
+pub struct PriorRedundancy {
+    /// Faults whose verdict carries: each is recorded as redundant at
+    /// its turn without a PODEM search.
+    pub carried: Vec<Fault>,
+    /// Faults whose verdict the point may overturn: each is searched
+    /// with [`Podem::generate_aimed`] at [`aim`](PriorRedundancy::aim).
+    pub rechecked: Vec<Fault>,
+    /// Where the point can newly expose a fault of
+    /// [`rechecked`](PriorRedundancy::rechecked).
+    pub aim: Aim,
+}
 
 /// Result of a top-off run.
 #[derive(Clone, Debug)]
@@ -75,7 +94,14 @@ pub fn generate(
     config: PodemConfig,
     seed: u64,
 ) -> Result<TopoffResult, NetlistError> {
-    generate_controlled(circuit, faults, config, seed, &RunControl::unlimited(), &[])
+    generate_controlled(
+        circuit,
+        faults,
+        config,
+        seed,
+        &RunControl::unlimited(),
+        &PriorRedundancy::default(),
+    )
 }
 
 /// [`generate`] under a [`RunControl`] token, polled once per target
@@ -85,12 +111,16 @@ pub fn generate(
 /// [`TopoffResult::uncovered`], and
 /// [`TopoffResult::interrupted`] records the reason.
 ///
-/// A target listed in `carried` is recorded as redundant at its turn
-/// without a PODEM search and counted in
-/// [`AtpgCounters::redundant_carried`]. The caller vouches that PODEM
-/// under `config` would prove each of them untestable on `circuit`;
-/// then the result equals that of an empty `carried`, counters of the
-/// skipped searches aside.
+/// A target listed in `prior.carried` is recorded as redundant at its
+/// turn without a PODEM search and counted in
+/// [`AtpgCounters::redundant_carried`]; one listed in `prior.rechecked`
+/// is searched with [`Podem::generate_aimed`] at `prior.aim` and counted
+/// in [`AtpgCounters::redundant_rechecked`]. The caller vouches that
+/// PODEM under `config` would prove each carried fault untestable on
+/// `circuit`, and that every test of a rechecked fault has an X-path to
+/// an aim output that avoids the aim's blocked line. Then the result
+/// equals that of an empty `prior`, counters aside, except that a
+/// rechecked fault the plain search aborts may get a verdict.
 ///
 /// # Errors
 ///
@@ -101,10 +131,12 @@ pub fn generate_controlled(
     config: PodemConfig,
     seed: u64,
     control: &RunControl,
-    carried: &[Fault],
+    prior: &PriorRedundancy,
 ) -> Result<TopoffResult, NetlistError> {
-    let mut carried = carried.to_vec();
+    let mut carried = prior.carried.clone();
     carried.sort_unstable();
+    let mut rechecked = prior.rechecked.clone();
+    rechecked.sort_unstable();
     let mut podem = Podem::with_config(circuit, config)?;
     let mut sim = FaultSimulator::new(circuit)?;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -126,7 +158,12 @@ pub fn generate_controlled(
             counters.redundant_carried += 1;
             PodemResult::Untestable
         } else {
-            let outcome = podem.generate(fault)?;
+            let outcome = if rechecked.binary_search(&fault).is_ok() {
+                counters.redundant_rechecked += 1;
+                podem.generate_aimed(fault, &prior.aim)?
+            } else {
+                podem.generate(fault)?
+            };
             counters.record_search(&podem);
             outcome
         };
@@ -371,17 +408,22 @@ mod tests {
         let universe = FaultUniverse::collapsed(&c).unwrap();
         let control = RunControl::unlimited();
         let config = PodemConfig::default();
-        let fresh = generate_controlled(&c, universe.faults(), config, 4, &control, &[]).unwrap();
+        let none = PriorRedundancy::default();
+        let fresh = generate_controlled(&c, universe.faults(), config, 4, &control, &none).unwrap();
         assert_eq!(fresh.redundant.len(), 3);
+        let prior = PriorRedundancy {
+            carried: fresh.redundant.clone(),
+            ..PriorRedundancy::default()
+        };
         let carried =
-            generate_controlled(&c, universe.faults(), config, 4, &control, &fresh.redundant)
-                .unwrap();
+            generate_controlled(&c, universe.faults(), config, 4, &control, &prior).unwrap();
         assert_eq!(carried.cubes, fresh.cubes);
         assert_eq!(carried.targets, fresh.targets);
         assert_eq!(carried.merged, fresh.merged);
         assert_eq!(carried.redundant, fresh.redundant);
         assert_eq!(carried.uncovered, fresh.uncovered);
         assert_eq!(fresh.counters.redundant_carried, 0);
+        assert_eq!(fresh.counters.redundant_rechecked, 0);
         assert_eq!(carried.counters.redundant_carried, 3);
         assert_eq!(carried.counters.redundant_faults, 3);
         assert!(carried.counters.decisions < fresh.counters.decisions);
@@ -399,7 +441,7 @@ mod tests {
             PodemConfig::default(),
             9,
             &control,
-            &[],
+            &PriorRedundancy::default(),
         )
         .unwrap();
         assert_eq!(result.interrupted, Some(StopReason::Cancelled));

@@ -3,13 +3,14 @@
 //! stored patterns by the canonical top-off packer.
 //!
 //! A probe ([`CubeSet::probe`]) builds the set of the circuit with one
-//! more test point. It runs the same generator, except that a fault this
-//! set proved redundant keeps its verdict without a new PODEM search
-//! when the point changes nothing PODEM reads while it searches for
-//! that fault.
+//! more test point. It runs the same generator, except for the faults
+//! this set proved redundant: one keeps its verdict without a new PODEM
+//! search when the point changes nothing PODEM reads while it searches
+//! for that fault, and the others are searched with the X-path check
+//! aimed at the outputs the point can newly affect.
 
-use tpi_atpg::topoff::{self, TopoffResult};
-use tpi_atpg::{AtpgCounters, PodemConfig, TestCube};
+use tpi_atpg::topoff::{self, PriorRedundancy, TopoffResult};
+use tpi_atpg::{Aim, AtpgCounters, PodemConfig, TestCube};
 use tpi_netlist::analysis::dirty_line_mask;
 use tpi_netlist::transform::apply_test_point;
 use tpi_netlist::{Circuit, NetlistError, TestPoint, Topology};
@@ -78,7 +79,13 @@ impl CubeSet {
         config: &CubeConfig,
         control: &RunControl,
     ) -> Result<CubeSet, NetlistError> {
-        CubeSet::generate_carrying(circuit, faults, config, control, &[])
+        CubeSet::generate_with(
+            circuit,
+            faults,
+            config,
+            control,
+            &PriorRedundancy::default(),
+        )
     }
 
     /// The cube set of `circuit` with `point` applied, over the `faults`
@@ -87,15 +94,21 @@ impl CubeSet {
     /// point on a dangling line).
     ///
     /// Equal to [`CubeSet::generate`] on the probed circuit, counters
-    /// aside: a fault of [`redundant`](CubeSet::redundant) whose origin
-    /// (the stem, or a branch's gate) is clean in
-    /// [`dirty_line_mask`] keeps its verdict without a PODEM search. For
-    /// a control or full point at `v` that means FO*(origin) and
-    /// FO*(`v`) are disjoint; for an observe point, that `v` is not in
-    /// FO*(origin). Such a fault sees no change anywhere in
-    /// FI*(FO*(origin)) — no value, SCOAP measure, fanin order or output
-    /// flag — so PODEM would repeat the same untestable search there
-    /// (DESIGN §6.2k).
+    /// aside, except that a fault plain PODEM aborts may get a verdict:
+    /// an aimed re-proof may decide it, and a verdict so decided in
+    /// `self` carries like any other. A fault of
+    /// [`redundant`](CubeSet::redundant) whose origin (the stem, or a
+    /// branch's gate) is clean in [`dirty_line_mask`] keeps its verdict
+    /// without a PODEM search. For a control or full point at `v` that
+    /// means FO*(origin) and FO*(`v`) are disjoint; for an observe point,
+    /// that `v` is not in FO*(origin). Such a fault sees no change
+    /// anywhere in FI*(FO*(origin)) — no value, SCOAP measure, fanin
+    /// order or output flag — so PODEM would repeat the same untestable
+    /// search there. Every other fault of `redundant` is re-proved with
+    /// the X-path check aimed at the outputs the point can newly affect
+    /// ([`Aim::after_point`]): it can be detected nowhere else, so the
+    /// aimed search prunes only subtrees without a test and finds the
+    /// same cube or the same proof (DESIGN §6.2k).
     ///
     /// # Errors
     ///
@@ -114,27 +127,31 @@ impl CubeSet {
             Err(NetlistError::InvalidTransform { .. }) => return Ok(None),
             Err(e) => return Err(e),
         };
+        let topo = Topology::of(&probed)?;
         let dirty = dirty_line_mask(
             &probed,
-            &Topology::of(&probed)?,
+            &topo,
             circuit.node_count(),
             applied.observed.as_slice(),
         );
-        let carried: Vec<Fault> = self
+        let (rechecked, carried) = self
             .redundant
             .iter()
-            .copied()
-            .filter(|f| !dirty[f.origin().index()])
-            .collect();
-        CubeSet::generate_carrying(&probed, faults, config, control, &carried).map(Some)
+            .partition(|f| dirty[f.origin().index()]);
+        let prior = PriorRedundancy {
+            carried,
+            rechecked,
+            aim: Aim::after_point(&probed, &topo, &applied),
+        };
+        CubeSet::generate_with(&probed, faults, config, control, &prior).map(Some)
     }
 
-    fn generate_carrying(
+    fn generate_with(
         circuit: &Circuit,
         faults: &[Fault],
         config: &CubeConfig,
         control: &RunControl,
-        carried: &[Fault],
+        prior: &PriorRedundancy,
     ) -> Result<CubeSet, NetlistError> {
         let TopoffResult {
             cubes,
@@ -150,7 +167,7 @@ impl CubeSet {
             config.podem,
             config.fill_seed,
             control,
-            carried,
+            prior,
         )?;
         Ok(CubeSet {
             cubes,

@@ -8,7 +8,10 @@
 //! circuit with the candidate applied ([`CubeSet::probe`]) — and commit
 //! only a probed strict improvement. A probe equals a full
 //! regeneration, except that it skips the PODEM search of every fault
-//! the current set proved redundant and the point cannot reach. Because
+//! the current set proved redundant and the point cannot reach, and
+//! aims the X-path check of the others at the outputs the point can
+//! newly affect, so a search a full regeneration aborts may end in a
+//! verdict ([`CubeSet::probe`]). Because
 //! every commit is refereed by the real objective, the final pattern
 //! count never exceeds the no-TPI baseline, and an interrupted run
 //! returns the exact prefix committed so far (the same anytime contract

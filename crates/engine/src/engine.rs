@@ -745,8 +745,9 @@ impl TpiEngine {
             self.apply(point)?;
             plan_points.push(point);
             let probed = Arc::new(probed);
-            // Seed the cache: the probe already generated exactly the cube
-            // set of the committed circuit version.
+            // Seed the cache: the probe already generated the cube set of
+            // the committed circuit version (a fresh one may abort where
+            // the probe's aimed re-proofs reached a verdict).
             self.cubes = Some(CubeState {
                 version: self.circuit.version(),
                 max_backtracks: cfg.cubes.podem.max_backtracks,

@@ -4,11 +4,13 @@
 # no-TPI baseline, (b) emit a valid plan JSON line whose points replay
 # onto a loadable netlist, (c) meter the work under the atpg.* and
 # compaction.* metric families (PODEM decisions and implications, carried
-# redundancy verdicts and the committed candidates' ranks included), and
-# (d) leave the default coverage objective byte-identical to an explicit
-# `--objective coverage` run. On `results/dag400_s5.bench` (run from the
-# repo root), a circuit with 525 redundant faults, the plan must be the
-# recorded one and probes must carry redundancy verdicts.
+# redundancy verdicts, aimed re-proofs and the committed candidates' ranks
+# included), and (d) leave the default coverage objective byte-identical
+# to an explicit `--objective coverage` run. On `results/dag400_s5.bench`
+# (run from the repo root), a circuit with 525 redundant faults, the plan
+# must be the recorded one, and probes must carry redundancy verdicts and
+# re-prove others with the aimed X-path check. `tpi atpg` runs no aimed
+# search.
 set -euo pipefail
 
 TPI="${TPI:-target/release/tpi}"
@@ -105,6 +107,7 @@ for key in ("atpg.cubes_generated", "atpg.decisions", "atpg.implications",
             "search.rounds"):
     assert doc[key]["type"] == "counter" and doc[key]["value"] >= 1, (key, doc.get(key))
 assert doc["atpg.redundant_carried"]["type"] == "counter", doc.get("atpg.redundant_carried")
+assert doc["atpg.redundant_rechecked"]["type"] == "counter", doc.get("atpg.redundant_rechecked")
 for key in ("compaction.patterns_before", "compaction.patterns_after"):
     assert doc[key]["type"] == "gauge" and doc[key]["value"] >= 1, (key, doc.get(key))
 assert doc["compaction.patterns_after"]["value"] <= doc["compaction.patterns_before"]["value"]
@@ -116,7 +119,8 @@ EOF
 done
 
 # ---- A circuit with redundant faults: the recorded plan, and probes that
-# ---- carry redundancy verdicts instead of proving them again. ----
+# ---- carry redundancy verdicts instead of proving them again, or re-prove
+# ---- them with the X-path check aimed at the point. ----
 "$TPI" insert results/dag400_s5.bench --objective patterns --max-points 2 \
   --metrics-out "$dir/dag400.metrics.json" > "$dir/dag400.out"
 grep '^{' "$dir/dag400.out" | tail -n 1 > "$dir/dag400.json"
@@ -129,10 +133,13 @@ assert (doc["patterns_before"], doc["patterns_after"]) == (51, 45), doc
 metrics = json.load(open(sys.argv[2]))
 carried = metrics["atpg.redundant_carried"]
 assert carried["type"] == "counter" and carried["value"] >= 1, carried
+rechecked = metrics["atpg.redundant_rechecked"]
+assert rechecked["type"] == "counter" and rechecked["value"] >= 1, rechecked
 rank = metrics["compaction.commit_rank"]
 assert rank["type"] == "histogram" and rank["count"] == 2, rank
 print(f"dag400_s5: patterns 51 -> 45 at cp-and g168 twice, "
-      f"{carried['value']} carried redundancy verdicts: ok")
+      f"{carried['value']} carried redundancy verdicts, "
+      f"{rechecked['value']} aimed re-proofs: ok")
 EOF
 
 # ---- coverage objective untouched: default == explicit, byte for byte. ----
@@ -161,6 +168,8 @@ for key in ("atpg.cubes_generated", "atpg.backtracks", "atpg.aborted_faults",
     assert m["type"] == "counter" and m["value"] >= 0, (key, m)
 for key in ("atpg.cubes_generated", "atpg.decisions", "atpg.implications"):
     assert doc[key]["value"] >= 1, (key, doc[key])
+rechecked = doc["atpg.redundant_rechecked"]
+assert rechecked["type"] == "counter" and rechecked["value"] == 0, rechecked
 print("atpg counters: ok")
 EOF
 "$TPI" stats "$dir/atpg.metrics.json" | grep -q 'atpg.cubes_generated' \

@@ -276,6 +276,8 @@ fn atpg_metrics_count_the_redundancy_sweep() {
     assert!(backtracks > 0, "{doc}");
     assert!(value(&doc, "atpg.decisions") > backtracks, "{doc}");
     assert!(value(&doc, "atpg.implications") > 0, "{doc}");
+    // The sweep searches every fault plainly: no aimed re-proof.
+    assert_eq!(value(&doc, "atpg.redundant_rechecked"), 0, "{doc}");
     // The work line reports the same merged counters.
     assert!(
         stdout.contains(&format!("{backtracks} backtracks")),
