@@ -36,7 +36,7 @@ use tpi_gen::dags::{random_dag, RandomDagConfig};
 use tpi_netlist::transform::apply_test_point;
 use tpi_netlist::{TestPoint, TestPointKind};
 use tpi_obs::Registry;
-use tpi_sim::parallel::run_parallel_opts;
+use tpi_sim::parallel::run_parallel_controlled;
 use tpi_sim::{
     score_candidate_groups, DetectionMode, FaultSimResult, FaultSimulator, FaultUniverse,
     IndependentPatterns, RandomPatterns, RunControl, SimOptions,
@@ -604,7 +604,6 @@ fn bench_candidate_eval() -> Json {
         let mut engine = TpiEngine::new(
             circuit.clone(),
             EngineConfig {
-                verify_incremental: false,
                 candidate_eval,
                 ..EngineConfig::default()
             },
@@ -721,15 +720,17 @@ fn bench_threads() -> Json {
         let mut result = None;
         let stealing_ns = time_ns_min(&mut || {
             result = Some(
-                run_parallel_opts(
+                run_parallel_controlled(
                     &circuit,
                     || RandomPatterns::new(n_inputs, SEED),
                     PATTERNS,
                     universe.faults(),
                     threads,
                     opts(),
+                    &RunControl::unlimited(),
                 )
-                .expect("runs"),
+                .expect("runs")
+                .result,
             );
         });
         check(threads, &result.expect("measured"));
@@ -1018,15 +1019,17 @@ fn smoke() {
         }
     }
     for threads in [2usize, 4] {
-        let result = run_parallel_opts(
+        let result = run_parallel_controlled(
             &circuit,
             || RandomPatterns::new(n_inputs, SEED),
             256,
             universe.faults(),
             threads,
             SimOptions::default(),
+            &RunControl::unlimited(),
         )
-        .expect("runs");
+        .expect("runs")
+        .result;
         assert_eq!(
             reference.patterns_applied(),
             result.patterns_applied(),

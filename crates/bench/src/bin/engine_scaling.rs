@@ -1,14 +1,13 @@
-//! **Engine scaling — the incremental constructive loop on growing banks.**
+//! **Engine scaling — the engine's constructive loop on growing banks.**
 //!
 //! [`TpiEngine::optimize`] runs the measure → decompose → DP → commit loop
-//! on a session that caches the derived analyses, memoizes per-region DP
-//! solves, and re-simulates only the dirty cone of each inserted point.
+//! on a session that caches the derived analyses and memoizes per-region
+//! DP solves; each round measures the edited circuit from scratch.
 //!
 //! The instance family is a bank of independent random-pattern-resistant
-//! AND cones: each commit touches one cone, so the fraction of the circuit
-//! the engine must revisit shrinks as the bank grows. The `resim` and
-//! `skipped` columns show that fraction; `engine_ms` is the wall clock of
-//! one run.
+//! AND cones: each commit touches one cone, so the other cones' region
+//! subproblems replay from the memo (`memo_hits`). `engine_ms` is the wall
+//! clock of one run and the only timing column.
 
 use tpi_bench::{ms, timed};
 use tpi_core::Threshold;
@@ -22,12 +21,12 @@ const THRESHOLD_LOG2: f64 = -10.0;
 
 fn main() {
     let threshold = Threshold::from_log2(THRESHOLD_LOG2);
-    println!("# Engine scaling: the incremental constructive loop");
+    println!("# Engine scaling: the engine's constructive loop");
     println!(
         "# {PATTERNS} patterns/round, {MAX_ROUNDS} rounds max, \u{3b4} = 2^{THRESHOLD_LOG2}, \
          banks of 12-input AND cones"
     );
-    println!("cones\tnodes\tfaults\tengine_ms\teng_cov%\tresim\tskipped\tmemo_hits");
+    println!("cones\tnodes\tfaults\tengine_ms\teng_cov%\tmemo_hits");
     for &cones in &[4usize, 8, 16, 32] {
         let circuit = cone_bank(cones, 12);
 
@@ -37,7 +36,6 @@ fn main() {
                 EngineConfig {
                     patterns: PATTERNS,
                     seed: SEED,
-                    verify_incremental: false,
                     ..EngineConfig::default()
                 },
             )
@@ -56,20 +54,18 @@ fn main() {
         let (eng_out, stats) = engine_result;
 
         println!(
-            "{cones}\t{}\t{}\t{}\t{:.2}\t{}\t{}\t{}",
+            "{cones}\t{}\t{}\t{}\t{:.2}\t{}",
             circuit.node_count(),
             fault_count(&circuit),
             ms(engine_t),
             100.0 * eng_out.final_coverage,
-            stats.faults_resimulated,
-            stats.faults_skipped,
             stats.memo_hits,
         );
     }
 }
 
 /// A bank of `cones` independent `width`-input AND cones — every cone is
-/// its own FFR, so commits are local and the dirty fraction is `1/cones`.
+/// its own FFR, so a commit leaves the other cones' regions unchanged.
 fn cone_bank(cones: usize, width: usize) -> Circuit {
     let mut b = CircuitBuilder::new(format!("cone_bank_{cones}x{width}"));
     for c in 0..cones {

@@ -47,7 +47,6 @@ fn main() {
             c.clone(),
             EngineConfig {
                 patterns: 8_192,
-                verify_incremental: false,
                 ..EngineConfig::default()
             },
         )

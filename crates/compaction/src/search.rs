@@ -36,7 +36,7 @@ pub enum SearchTier {
     Greedy,
     /// Walk the ranking in order and commit the *first* probed
     /// improvement, giving up after `2 × probe_width` probes (fewer
-    /// probes per round; the tier the incremental engine drives).
+    /// probes per round; the tier the session engine drives).
     Constructive,
 }
 
@@ -318,7 +318,7 @@ impl PatternsOptimizer {
 
     /// One search round over an externally-owned circuit + cube set:
     /// analyse conflicts, rank, probe, and return the best improving
-    /// candidate *without* mutating anything. The incremental engine
+    /// candidate *without* mutating anything. The session engine
     /// drives this directly so it can keep the cube set in its
     /// version-keyed cache. `current` must be the cube set of `circuit`
     /// over `faults` under this optimizer's [`PatternsConfig::cubes`]:

@@ -692,7 +692,6 @@ fn run_engine_job(spec: &JobSpec, control: &RunControl) -> JobOutcome {
         EngineConfig {
             patterns: spec.patterns,
             seed: spec.seed,
-            verify_incremental: false,
             ..EngineConfig::default()
         },
     );
@@ -764,11 +763,6 @@ fn run_engine_job(spec: &JobSpec, control: &RunControl) -> JobOutcome {
                 ("points", Json::from(outcome.plan.len())),
                 ("cost", Json::from(outcome.plan.cost())),
                 ("rounds", Json::from(outcome.rounds.len())),
-                (
-                    "faults_resimulated",
-                    Json::from(engine.stats().faults_resimulated),
-                ),
-                ("faults_skipped", Json::from(engine.stats().faults_skipped)),
             ]);
             match outcome.interrupted {
                 None => JobOutcome::Ok(fields),

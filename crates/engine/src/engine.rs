@@ -28,13 +28,12 @@ use crate::memo::{region_fingerprint, DpMemo, SharedDpMemo};
 /// Session-wide tuning for [`TpiEngine`].
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Pattern budget of every coverage measurement (full or incremental).
+    /// Pattern budget of every coverage measurement.
     pub patterns: u64,
     /// Seed of the session's [`IndependentPatterns`] stream.
     pub seed: u64,
-    /// Cross-check every incremental re-simulation against a full
-    /// re-simulation and panic on divergence. Defaults to on in debug
-    /// builds — the "prove bit-identity" path — and off in release.
+    /// Ignored. Kept only so the benchmark driver under `perfbench/`
+    /// keeps building; nothing reads it.
     pub verify_incremental: bool,
     /// Fault-simulation block width in 64-bit words (patterns per kernel
     /// pass / 64); must be 0, 1, 2, 4 or 8, where 0 (the default)
@@ -65,7 +64,7 @@ impl Default for EngineConfig {
         EngineConfig {
             patterns: 4096,
             seed: 0xDAC_1987,
-            verify_incremental: cfg!(debug_assertions),
+            verify_incremental: false,
             block_words: 0,
             detection: DetectionMode::default(),
             simd_backend: BackendChoice::default(),
@@ -80,22 +79,17 @@ impl Default for EngineConfig {
 /// Since the observability migration this is a point-in-time *view*
 /// assembled from the session's [`Registry`] (see
 /// [`TpiEngine::registry`]); the registry additionally carries the
-/// fault-sim kernel counters (`sim.*`), dirty-cone size and measurement
-/// latency histograms that have no place in this flat struct.
+/// fault-sim kernel counters (`sim.*`) and the latency histograms that
+/// have no place in this flat struct.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Derived-analysis bundles rebuilt (topology + COP + FFR).
     pub analysis_rebuilds: u64,
     /// Derived-analysis requests served from cache.
     pub analysis_hits: u64,
-    /// Full fault simulations over the whole universe.
+    /// Coverage measurements (full fault simulations over the whole
+    /// universe).
     pub full_sims: u64,
-    /// Incremental (dirty-cone) re-simulations.
-    pub incremental_sims: u64,
-    /// Faults re-simulated by incremental passes.
-    pub faults_resimulated: u64,
-    /// Faults whose previous result was reused by incremental passes.
-    pub faults_skipped: u64,
     /// Region DP solutions replayed from the memo.
     pub memo_hits: u64,
     /// Region DP solutions computed and cached.
@@ -113,18 +107,11 @@ struct EngineMetrics {
     analysis_rebuilds: Arc<Counter>,
     analysis_hits: Arc<Counter>,
     full_sims: Arc<Counter>,
-    incremental_sims: Arc<Counter>,
-    faults_resimulated: Arc<Counter>,
-    faults_skipped: Arc<Counter>,
     memo_hits: Arc<Counter>,
     memo_misses: Arc<Counter>,
     region_dp_skipped: Arc<Counter>,
-    /// Dirty-cone size (faults re-simulated) per incremental pass.
-    dirty_cone_faults: Arc<Histogram>,
-    /// Wall clock of full measurement runs, microseconds.
+    /// Wall clock of measurement runs, microseconds.
     full_sim_us: Arc<Histogram>,
-    /// Wall clock of incremental (dirty-cone) runs, microseconds.
-    incremental_sim_us: Arc<Histogram>,
     /// Candidate groups scored by the search referee.
     candidates_evaluated: Arc<Counter>,
     /// Scored faults the batched referee's reach filter left out of
@@ -147,15 +134,10 @@ impl EngineMetrics {
             analysis_rebuilds: registry.counter("engine.analysis_rebuilds"),
             analysis_hits: registry.counter("engine.analysis_hits"),
             full_sims: registry.counter("engine.full_sims"),
-            incremental_sims: registry.counter("engine.incremental_sims"),
-            faults_resimulated: registry.counter("engine.faults_resimulated"),
-            faults_skipped: registry.counter("engine.faults_skipped"),
             memo_hits: registry.counter("engine.memo_hits"),
             memo_misses: registry.counter("engine.memo_misses"),
             region_dp_skipped: registry.counter("engine.region_dp_skipped"),
-            dirty_cone_faults: registry.histogram("engine.dirty_cone_faults"),
             full_sim_us: registry.histogram("engine.full_sim_us"),
-            incremental_sim_us: registry.histogram("engine.incremental_sim_us"),
             candidates_evaluated: registry.counter("search.candidates_evaluated"),
             faults_filtered: registry.counter("search.faults_filtered"),
             search_rounds: registry.counter("search.rounds"),
@@ -171,9 +153,6 @@ impl EngineMetrics {
             analysis_rebuilds: self.analysis_rebuilds.get(),
             analysis_hits: self.analysis_hits.get(),
             full_sims: self.full_sims.get(),
-            incremental_sims: self.incremental_sims.get(),
-            faults_resimulated: self.faults_resimulated.get(),
-            faults_skipped: self.faults_skipped.get(),
             memo_hits: self.memo_hits.get(),
             memo_misses: self.memo_misses.get(),
             region_dp_skipped: self.region_dp_skipped.get(),
@@ -241,17 +220,14 @@ impl Default for OptimizeConfig {
 /// topology, COP profile, FFR decomposition, the collapsed fault universe
 /// of the *base* circuit, and the latest coverage measurement — cached and
 /// keyed by [`Circuit::version`], so repeated queries cost nothing and
-/// edits invalidate exactly what they must.
+/// edits invalidate exactly what they must. An edit invalidates the
+/// measurement, and the next [`simulate`](TpiEngine::simulate) measures
+/// the edited circuit from scratch.
 ///
-/// Its differentiating capability is **dirty-cone incremental
-/// re-simulation**: after [`apply`](TpiEngine::apply) inserts a test
-/// point, only faults whose detection can have changed (those on lines
-/// structurally entangled with the edit) are re-simulated; every other
-/// fault keeps its previous first-detection verbatim. The session pattern
-/// source is [`IndependentPatterns`], whose per-input streams are
-/// invariant under input insertion, which is what makes the merged result
-/// bit-identical to a from-scratch simulation of the edited circuit
-/// (checked by [`EngineConfig::verify_incremental`] and property tests).
+/// The session pattern source is [`IndependentPatterns`], whose
+/// per-input streams are invariant under input insertion: a point's new
+/// input leaves every old input's stream as it was. Candidate scoring
+/// relies on that to simulate only a candidate's dirty faults.
 pub struct TpiEngine {
     circuit: Circuit,
     config: EngineConfig,
@@ -381,9 +357,7 @@ impl TpiEngine {
 
     /// Mutable access for out-of-band edits. Any mutation bumps
     /// [`Circuit::version`], so cached analyses and simulation state are
-    /// invalidated lazily; the next measurement falls back to a full
-    /// simulation (the incremental path needs the edit provenance that
-    /// only [`apply`](TpiEngine::apply) records).
+    /// invalidated lazily, as after [`apply`](TpiEngine::apply).
     pub fn circuit_mut(&mut self) -> &mut Circuit {
         &mut self.circuit
     }
@@ -440,10 +414,6 @@ impl TpiEngine {
         Ok(())
     }
 
-    fn pattern_source(&self) -> IndependentPatterns {
-        IndependentPatterns::new(self.circuit.inputs().len(), self.config.seed)
-    }
-
     fn sim_options(&self) -> SimOptions {
         SimOptions {
             block_words: self.config.block_words,
@@ -452,25 +422,8 @@ impl TpiEngine {
         }
     }
 
-    fn full_sim(&mut self) -> Result<(FaultSimResult, Option<StopReason>), TpiError> {
-        self.metrics.full_sims.inc();
-        let timer = self.metrics.full_sim_us.start_timer();
-        let mut sim = FaultSimulator::with_options(&self.circuit, self.sim_options())?;
-        let mut src = self.pattern_source();
-        let run = sim.run_controlled(
-            &mut src,
-            self.config.patterns,
-            self.universe.faults(),
-            &self.control,
-        )?;
-        drop(timer);
-        run.counters.publish_to(&self.metrics.registry);
-        Ok((run.result, run.stopped))
-    }
-
     /// The coverage measurement of the current circuit, computed at most
-    /// once per netlist version (edits through
-    /// [`apply`](TpiEngine::apply) refresh it incrementally instead).
+    /// once per netlist version.
     ///
     /// # Errors
     ///
@@ -481,11 +434,25 @@ impl TpiEngine {
     pub fn simulate(&mut self) -> Result<&FaultSimResult, TpiError> {
         let version = self.circuit.version();
         if self.sim.as_ref().is_none_or(|s| s.version != version) {
-            let (result, stopped) = self.full_sim()?;
-            if let Some(reason) = stopped {
+            self.metrics.full_sims.inc();
+            let timer = self.metrics.full_sim_us.start_timer();
+            let mut sim = FaultSimulator::with_options(&self.circuit, self.sim_options())?;
+            let mut src = IndependentPatterns::new(self.circuit.inputs().len(), self.config.seed);
+            let run = sim.run_controlled(
+                &mut src,
+                self.config.patterns,
+                self.universe.faults(),
+                &self.control,
+            )?;
+            drop(timer);
+            run.counters.publish_to(&self.metrics.registry);
+            if let Some(reason) = run.stopped {
                 return Err(TpiError::Interrupted { reason });
             }
-            self.sim = Some(SimState { version, result });
+            self.sim = Some(SimState {
+                version,
+                result: run.result,
+            });
         }
         Ok(&self.sim.as_ref().expect("just stored").result)
     }
@@ -499,128 +466,15 @@ impl TpiEngine {
         Ok(self.simulate()?.coverage())
     }
 
-    /// Insert one test point and refresh the coverage measurement
-    /// incrementally: only faults inside the edit's dirty cone are
-    /// re-simulated, all others keep their previous first-detections.
-    ///
-    /// If the session's [`RunControl`] token fires during the
-    /// re-measurement, the point *stays applied* (the structural edit is
-    /// already committed) but the truncated measurement is discarded —
-    /// the next [`simulate`](TpiEngine::simulate) under a fresh token
-    /// measures from scratch.
+    /// Insert one test point. The edit bumps [`Circuit::version`], so
+    /// the next [`simulate`](TpiEngine::simulate) measures the edited
+    /// circuit from scratch.
     ///
     /// # Errors
     ///
-    /// [`TpiError::Netlist`] if the insertion or re-simulation fails.
+    /// [`TpiError::Netlist`] if the insertion fails.
     pub fn apply(&mut self, tp: TestPoint) -> Result<AppliedTestPoint, TpiError> {
-        let old_nodes = self.circuit.node_count();
-        let prev = match self.sim.take() {
-            Some(s) if s.version == self.circuit.version() => Some(s.result),
-            _ => None,
-        };
-        let applied = apply_test_point(&mut self.circuit, tp)?;
-        if let Some(prev) = prev {
-            match self.resimulate_dirty_cone(&applied, old_nodes, prev) {
-                Ok(merged) => {
-                    self.sim = Some(SimState {
-                        version: self.circuit.version(),
-                        result: merged,
-                    });
-                }
-                Err(TpiError::Interrupted { .. }) => {} // sim stays invalidated
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(applied)
-    }
-
-    /// Insert several test points in order (each one incrementally
-    /// re-measured, as [`apply`](TpiEngine::apply)).
-    ///
-    /// # Errors
-    ///
-    /// [`TpiError::Netlist`] if any insertion fails; earlier points stay
-    /// applied.
-    pub fn apply_all(&mut self, points: &[TestPoint]) -> Result<Vec<AppliedTestPoint>, TpiError> {
-        points.iter().map(|&tp| self.apply(tp)).collect()
-    }
-
-    /// Re-simulate only the faults dirtied by `applied` and merge with the
-    /// previous result. See [`dirty_line_mask`] for the dirtiness rule.
-    fn resimulate_dirty_cone(
-        &mut self,
-        applied: &AppliedTestPoint,
-        old_nodes: usize,
-        prev: FaultSimResult,
-    ) -> Result<FaultSimResult, TpiError> {
-        self.ensure_analyses()?;
-        let analyses = self.analyses.as_ref().expect("just ensured");
-        let observed: Vec<NodeId> = applied.observed.into_iter().collect();
-        let dirty = dirty_line_mask(&self.circuit, &analyses.topo, old_nodes, &observed);
-
-        let mut dirty_indices: Vec<usize> = Vec::new();
-        let mut dirty_faults: Vec<tpi_sim::Fault> = Vec::new();
-        for (i, &fault) in self.universe.faults().iter().enumerate() {
-            if dirty[fault.line(&self.circuit).index()] {
-                dirty_indices.push(i);
-                dirty_faults.push(fault);
-            }
-        }
-        self.metrics.incremental_sims.inc();
-        self.metrics
-            .faults_resimulated
-            .add(dirty_faults.len() as u64);
-        self.metrics
-            .faults_skipped
-            .add((self.universe.len() - dirty_faults.len()) as u64);
-        self.metrics
-            .dirty_cone_faults
-            .record(dirty_faults.len() as u64);
-
-        let partial = {
-            let timer = self.metrics.incremental_sim_us.start_timer();
-            let mut sim = FaultSimulator::with_options(&self.circuit, self.sim_options())?;
-            let mut src = self.pattern_source();
-            let run =
-                sim.run_controlled(&mut src, self.config.patterns, &dirty_faults, &self.control)?;
-            drop(timer);
-            run.counters.publish_to(&self.metrics.registry);
-            if let Some(reason) = run.stopped {
-                return Err(TpiError::Interrupted { reason });
-            }
-            run.result
-        };
-        let mut first: Vec<Option<u64>> = (0..prev.fault_count())
-            .map(|i| prev.first_detection(i))
-            .collect();
-        for (k, &i) in dirty_indices.iter().enumerate() {
-            first[i] = partial.first_detection(k);
-        }
-        let merged = FaultSimResult::from_parts(
-            first,
-            partial.patterns_applied().max(prev.patterns_applied()),
-        );
-
-        if self.config.verify_incremental {
-            // An interrupted verification sim can't prove anything —
-            // skip the cross-check rather than assert against a truncated
-            // reference.
-            let (full, stopped) = self.full_sim()?;
-            if stopped.is_some() {
-                return Ok(merged);
-            }
-            for i in 0..self.universe.len() {
-                assert_eq!(
-                    merged.first_detection(i),
-                    full.first_detection(i),
-                    "incremental re-simulation diverged from full re-simulation \
-                     at fault {} ({})",
-                    i,
-                    self.universe.faults()[i].describe(&self.circuit),
-                );
-            }
-        }
-        Ok(merged)
+        Ok(apply_test_point(&mut self.circuit, tp)?)
     }
 
     /// The deterministic test set (PODEM cubes + packed patterns) of the
@@ -673,8 +527,7 @@ impl TpiEngine {
     /// circuit's cube set lands in the session cache keyed by netlist
     /// version, so follow-up queries — another `optimize_patterns` call,
     /// a serve-session `cubes` request, a batch job on the same shard —
-    /// replay it for free, and every commit also refreshes the coverage
-    /// measurement incrementally through [`apply`](TpiEngine::apply).
+    /// replay it for free.
     ///
     /// When the session's [`RunControl`] token fires mid-run the loop
     /// stops after the last fully-probed commit and the outcome carries
@@ -786,8 +639,8 @@ impl TpiEngine {
     }
 
     /// Run the measure/decompose/solve/commit constructive loop on the
-    /// session, with every step going through the engine's caches: the
-    /// measurement is incremental after the first round, region DP
+    /// session, with every step going through the engine's caches:
+    /// analyses are rebuilt once per circuit version, region DP
     /// solutions are memoized across rounds, and candidate scoring
     /// simulates only each candidate's dirty faults.
     ///
@@ -834,7 +687,7 @@ impl TpiEngine {
         let mut interrupted: Option<StopReason> = None;
 
         for round in 0..cfg.max_rounds.max(1) {
-            // 1. Measure (cached; incremental after the first commit).
+            // 1. Measure (once per circuit version).
             let result = match self.simulate() {
                 Ok(result) => result.clone(),
                 Err(TpiError::Interrupted { reason }) => {
@@ -1271,8 +1124,7 @@ mod tests {
     use super::*;
     use tpi_netlist::{CircuitBuilder, GateKind, TestPointKind};
 
-    /// Two independent random-pattern-resistant cones sharing nothing: an
-    /// edit in one must leave the other's faults clean.
+    /// Two independent random-pattern-resistant cones sharing nothing.
     fn two_cones() -> Circuit {
         let mut b = CircuitBuilder::new("twin");
         let xs = b.inputs(16, "x");
@@ -1298,14 +1150,11 @@ mod tests {
     }
 
     fn engine(c: Circuit) -> TpiEngine {
-        // verify_incremental is intentionally off: the tests compare
-        // against an independently-constructed full simulation instead.
         TpiEngine::new(
             c,
             EngineConfig {
                 patterns: 1024,
                 seed: 9,
-                verify_incremental: false,
                 ..EngineConfig::default()
             },
         )
@@ -1324,7 +1173,7 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_full_for_every_kind() {
+    fn measurement_after_apply_matches_full_for_every_kind() {
         for kind in TestPointKind::ALL {
             let c = reconvergent();
             let node = c.find_node("g1").unwrap();
@@ -1340,32 +1189,7 @@ mod tests {
                     "{kind:?} fault {i}"
                 );
             }
-            assert_eq!(eng.stats().incremental_sims, 1);
-            assert_eq!(eng.stats().full_sims, 1, "{kind:?} re-ran a full sim");
-        }
-    }
-
-    #[test]
-    fn incremental_skips_the_untouched_cone() {
-        let c = two_cones();
-        let a = c.find_node("a_6").unwrap(); // root of the first cone
-        let mut eng = engine(c);
-        eng.simulate().unwrap();
-        eng.apply(TestPoint::control_or(a)).unwrap();
-        let stats = eng.stats();
-        assert!(
-            stats.faults_skipped > 0,
-            "an edit local to one cone must leave the other cone's faults clean"
-        );
-        assert!(stats.faults_resimulated > 0);
-        let fresh = fresh_full(eng.circuit(), eng.universe(), 1024, 9);
-        let merged = eng.simulate().unwrap().clone();
-        for i in 0..eng.universe().len() {
-            assert_eq!(
-                merged.first_detection(i),
-                fresh.first_detection(i),
-                "fault {i}"
-            );
+            assert_eq!(eng.stats().full_sims, 2, "{kind:?} must measure again");
         }
     }
 
@@ -1393,7 +1217,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(eng.stats().incremental_sims, 3);
+        assert_eq!(eng.stats().full_sims, 4);
     }
 
     #[test]
@@ -1421,7 +1245,6 @@ mod tests {
         eng.circuit_mut().add_output(node).unwrap();
         eng.simulate().unwrap();
         assert_eq!(eng.stats().full_sims, 2);
-        assert_eq!(eng.stats().incremental_sims, 0);
     }
 
     #[test]
@@ -1431,7 +1254,6 @@ mod tests {
             EngineConfig {
                 patterns: 2048,
                 seed: 0xDAC_1987,
-                verify_incremental: true, // exercise the assert path too
                 ..EngineConfig::default()
             },
         )
@@ -1450,7 +1272,8 @@ mod tests {
         assert!(!outcome.plan.is_empty());
         let stats = eng.stats();
         assert!(stats.memo_misses > 0);
-        assert!(stats.incremental_sims > 0);
+        // One measurement per round, each from scratch.
+        assert_eq!(stats.full_sims, outcome.rounds.len() as u64);
     }
 
     #[test]
@@ -1698,7 +1521,6 @@ mod tests {
             EngineConfig {
                 patterns: 256,
                 seed: 3,
-                verify_incremental: false,
                 ..EngineConfig::default()
             },
         )

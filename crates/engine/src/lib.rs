@@ -9,12 +9,10 @@
 //!   are rebuilt at most once per netlist version
 //!   ([`Circuit::version`](tpi_netlist::Circuit::version) keys the
 //!   invalidation);
-//! * **Dirty-cone incremental re-simulation** — after a test-point
-//!   insertion, only faults structurally entangled with the edit are
-//!   re-simulated ([`dirty_line_mask`](tpi_netlist::analysis::dirty_line_mask)
-//!   documents the rule); the merged result is bit-identical to a
-//!   from-scratch run, provable at runtime via
-//!   [`EngineConfig::verify_incremental`];
+//! * **Measurement caching** — the coverage measurement is computed at
+//!   most once per netlist version; a test-point insertion invalidates
+//!   it, and the next measurement simulates the edited circuit from
+//!   scratch;
 //! * **DP memoization** — region subproblems are fingerprinted and their
 //!   solutions replayed across rounds and edits;
 //! * **Batch/serve front ends** — [`batch`] runs N×M job manifests across
@@ -42,9 +40,10 @@
 //! let mut engine = TpiEngine::new(b.finish()?, EngineConfig::default())?;
 //!
 //! let before = engine.coverage()?;
-//! engine.apply(TestPoint::control_or(root))?; // incremental re-measure
-//! assert!(engine.coverage()? >= before);
-//! assert_eq!(engine.stats().incremental_sims, 1);
+//! assert_eq!(engine.coverage()?, before); // cached: no second run
+//! engine.apply(TestPoint::control_or(root))?; // invalidates the measurement
+//! assert!(engine.coverage()? >= before); // measured from scratch
+//! assert_eq!(engine.stats().full_sims, 2);
 //! # Ok(())
 //! # }
 //! ```

@@ -3,8 +3,8 @@
 //! [`ServeState`] answers one request line with one response line; the
 //! `tpi-server` crate runs it over stdin/stdout and over sockets. The
 //! engine session (and all of its caches) persists across requests, so
-//! a driving process pays for analyses and full simulation once and
-//! for incremental work afterwards.
+//! a driving process pays for analyses and a measurement once per
+//! circuit version.
 //!
 //! Requests (`cmd` — `method` is accepted as an alias — selects the
 //! operation):
@@ -12,9 +12,9 @@
 //! * `{"cmd":"load","path":"c432.bench"}` or
 //!   `{"cmd":"load","bench":"INPUT(a)\n..."}` — open a session; optional
 //!   `"patterns"` and `"seed"` configure the measurement.
-//! * `{"cmd":"coverage"}` — measure (cached / incremental).
+//! * `{"cmd":"coverage"}` — measure (cached per circuit version).
 //! * `{"cmd":"insert","node":"g17","kind":"op"}` — apply a test point
-//!   (`op`, `cp-and`, `cp-or`, `tp`) with incremental re-measurement.
+//!   (`op`, `cp-and`, `cp-or`, `tp`) and measure the edited circuit.
 //! * `{"cmd":"optimize","threshold_log2":-8,"max_rounds":8}` — run the
 //!   constructive loop on the session.
 //! * `{"cmd":"stats"}` — cache/simulation counters, plus total optimize
@@ -264,9 +264,6 @@ impl ServeState {
                     ("analysis_rebuilds", Json::from(s.analysis_rebuilds)),
                     ("analysis_hits", Json::from(s.analysis_hits)),
                     ("full_sims", Json::from(s.full_sims)),
-                    ("incremental_sims", Json::from(s.incremental_sims)),
-                    ("faults_resimulated", Json::from(s.faults_resimulated)),
-                    ("faults_skipped", Json::from(s.faults_skipped)),
                     ("memo_hits", Json::from(s.memo_hits)),
                     ("memo_misses", Json::from(s.memo_misses)),
                     ("memo_entries", Json::from(engine.memo_len())),
@@ -347,7 +344,6 @@ impl ServeState {
                 .get("seed")
                 .and_then(Json::as_u64)
                 .unwrap_or(0xDAC_1987),
-            verify_incremental: false,
             ..EngineConfig::default()
         };
         let engine = match &self.shared_memo {
@@ -398,10 +394,6 @@ impl ServeState {
             ("ok", Json::from(true)),
             ("coverage", Json::from(coverage)),
             ("nodes", Json::from(engine.circuit().node_count())),
-            (
-                "faults_resimulated",
-                Json::from(engine.stats().faults_resimulated),
-            ),
         ]))
     }
 
@@ -610,11 +602,11 @@ mod tests {
         let insert = ok(&state
             .handle_line(r#"{"cmd":"insert","node":"g0","kind":"op"}"#)
             .unwrap());
-        assert!(insert.get("faults_resimulated").unwrap().as_u64().unwrap() > 0);
+        assert!(insert.get("coverage").unwrap().as_f64().unwrap() > 0.5);
 
+        // The insert measured the edited circuit from scratch.
         let stats = ok(&state.handle_line(r#"{"cmd":"stats"}"#).unwrap());
-        assert_eq!(stats.get("incremental_sims").unwrap().as_u64(), Some(1));
-        assert_eq!(stats.get("full_sims").unwrap().as_u64(), Some(1));
+        assert_eq!(stats.get("full_sims").unwrap().as_u64(), Some(2));
 
         assert!(state.handle_line(r#"{"cmd":"quit"}"#).is_none());
     }

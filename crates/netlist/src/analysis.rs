@@ -146,6 +146,12 @@ pub fn fanout_cone_mask(circuit: &Circuit, topo: &Topology, roots: &[NodeId]) ->
 /// reverse topological order resolves it in one pass. Faults on clean
 /// lines provably keep their detection behaviour: no value, sensitization
 /// side-input or observing output anywhere in their cone changed.
+///
+/// Three users rely on that: candidate scoring (`tpi_sim::candidate`'s
+/// multi-point fallback simulates only a group's dirty faults), the
+/// legacy scorer the engine keeps as its A/B oracle (the same), and the
+/// pattern-count probes (`CubeSet::probe` carries the redundancy verdict
+/// of a fault whose origin is clean).
 pub fn dirty_line_mask(
     circuit: &Circuit,
     topo: &Topology,

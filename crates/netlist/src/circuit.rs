@@ -72,7 +72,7 @@ pub struct Circuit {
     pub(crate) inputs: Vec<NodeId>,
     pub(crate) outputs: Vec<NodeId>,
     /// Structural edit counter: bumped by every mutation that can change
-    /// behaviour (`add_node`, `add_output`, `set_node`, `rewire`).
+    /// behaviour (`add_node`, `add_output`, `rewire`).
     /// Derived-analysis caches key their validity on it.
     pub(crate) version: u64,
 }
@@ -247,24 +247,6 @@ impl Circuit {
             self.outputs.push(id);
             self.version += 1;
         }
-        Ok(())
-    }
-
-    /// Replace a node's kind and fanin list in place (used by the rewrite
-    /// passes). Arity and bounds are checked immediately; acyclicity is
-    /// re-validated by the calling pass.
-    pub(crate) fn set_node(
-        &mut self,
-        id: NodeId,
-        kind: GateKind,
-        fanins: Vec<NodeId>,
-    ) -> Result<(), NetlistError> {
-        kind.check_arity(fanins.len())?;
-        if fanins.iter().any(|f| f.index() >= self.nodes.len()) {
-            return Err(NetlistError::DanglingFanin { gate: id.index() });
-        }
-        self.nodes[id.index()] = Node { kind, fanins };
-        self.version += 1;
         Ok(())
     }
 

@@ -51,7 +51,6 @@ mod error;
 pub mod ffr;
 mod gate;
 mod level;
-pub mod rewrite;
 pub mod transform;
 pub mod verilog;
 

@@ -80,7 +80,7 @@
 //! Multi-point groups (and any group the augmented build cannot cover)
 //! fall back to the legacy path: clone, apply, compile, and re-simulate
 //! the group's *dirty* faults; a clean fault stays undetected by the
-//! same cone-delta argument the incremental engine uses.
+//! cone-delta argument of `dirty_line_mask`.
 //!
 //! Scoring uses [`IndependentPatterns`], whose per-input streams are
 //! invariant under input insertion: the auxiliary inputs a control

@@ -9,7 +9,7 @@ pub struct CoveragePoint {
 
 /// Result of a fault-simulation run: per-fault first-detection indices and
 /// derived statistics.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultSimResult {
     first_detected: Vec<Option<u64>>,
     patterns_applied: u64,
@@ -21,17 +21,6 @@ impl FaultSimResult {
             first_detected,
             patterns_applied,
         }
-    }
-
-    /// Assemble a result from per-fault first detections and the applied
-    /// pattern count.
-    ///
-    /// Public so restartable/incremental drivers (the `tpi-engine` crate's
-    /// dirty-cone re-simulation, the parallel runner) can merge partial
-    /// runs into one result; plain simulation should use
-    /// [`FaultSimulator::run`](crate::FaultSimulator::run).
-    pub fn from_parts(first_detected: Vec<Option<u64>>, patterns_applied: u64) -> FaultSimResult {
-        FaultSimResult::new(first_detected, patterns_applied)
     }
 
     /// Number of target faults.

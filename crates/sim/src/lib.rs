@@ -12,7 +12,7 @@
 //!   [`RandomPatterns`] (seeded PRNG), [`LfsrPatterns`] (hardware-faithful
 //!   maximal-length LFSR), [`ExhaustivePatterns`] and
 //!   [`IndependentPatterns`] (per-input counter streams, stable under
-//!   input insertion — the incremental engine's source) implementations;
+//!   input insertion — the session engine's source) implementations;
 //! * [`Misr`] — multiple-input signature register for response compaction;
 //! * [`Fault`], [`FaultUniverse`], [`collapse`] — single-stuck-at fault
 //!   model with structural equivalence collapsing;

@@ -34,86 +34,19 @@ use crate::{
 };
 
 /// Fault-simulate `faults` across `threads` worker threads, with fault
-/// dropping, producing the same [`FaultSimResult`] the sequential
-/// [`FaultSimulator::run`] would (each thread replays the same seeded
-/// pattern stream) at the default block width.
+/// dropping, under a [`RunControl`] token, producing the same
+/// [`FaultSimResult`] the sequential [`FaultSimulator::run_controlled`]
+/// would. Free-running callers pass [`RunControl::unlimited`].
 ///
-/// `make_source` is called once per thread and must yield identical
+/// `make_source` is called once per work unit and must yield identical
 /// streams (e.g. closures constructing a seeded
-/// [`RandomPatterns`](crate::RandomPatterns)).
-///
-/// # Errors
-///
-/// [`NetlistError::Cycle`] for cyclic circuits; worker panics propagate.
-pub fn run_parallel<S, F>(
-    circuit: &Circuit,
-    make_source: F,
-    max_patterns: u64,
-    faults: &[Fault],
-    threads: usize,
-) -> Result<FaultSimResult, NetlistError>
-where
-    S: PatternSource,
-    F: Fn() -> S + Sync,
-{
-    run_parallel_opts(
-        circuit,
-        make_source,
-        max_patterns,
-        faults,
-        threads,
-        SimOptions::default(),
-    )
-}
-
-/// [`run_parallel`] with an explicit block width (words per pass; see
-/// [`FaultSimulator::with_block_words`]).
-///
-/// Every worker replays its pattern stream through a simulator of the
-/// same width, so the per-block tail masking against `max_patterns` is
-/// applied identically in every chunk — first detections,
-/// `patterns_applied` and coverage match the sequential run bit for bit
-/// at any width and thread count, including when `max_patterns` is not
-/// a multiple of `block_words × 64`.
-///
-/// # Errors
-///
-/// [`NetlistError::Cycle`] for cyclic circuits; worker panics propagate.
-///
-/// # Panics
-///
-/// Panics if `block_words` is not 1, 2, 4 or 8.
-pub fn run_parallel_with<S, F>(
-    circuit: &Circuit,
-    make_source: F,
-    max_patterns: u64,
-    faults: &[Fault],
-    threads: usize,
-    block_words: usize,
-) -> Result<FaultSimResult, NetlistError>
-where
-    S: PatternSource,
-    F: Fn() -> S + Sync,
-{
-    run_parallel_opts(
-        circuit,
-        make_source,
-        max_patterns,
-        faults,
-        threads,
-        SimOptions::with_block_words(block_words),
-    )
-}
-
-/// [`run_parallel`] with explicit [`SimOptions`] (block width and
-/// detection mode).
-///
-/// Every worker replays its pattern stream through a simulator of the
-/// same configuration, so the per-block tail masking against
-/// `max_patterns` is applied identically in every chunk — first
-/// detections, `patterns_applied` and coverage match the sequential run
-/// bit for bit at any width, detection mode and thread count, including
-/// when `max_patterns` is not a multiple of `block_words × 64`.
+/// [`RandomPatterns`](crate::RandomPatterns)). Every worker replays its
+/// stream through a simulator of the same [`SimOptions`], so the
+/// per-block tail masking against `max_patterns` is applied identically
+/// in every unit — first detections, `patterns_applied` and coverage
+/// match the sequential run bit for bit at any width, detection mode and
+/// thread count, including when `max_patterns` is not a multiple of
+/// `block_words × 64`.
 ///
 /// Faults are grouped into work units by fanout-free region, coalesced
 /// in descending estimated propagation cost (a saturating over-count of
@@ -121,42 +54,9 @@ where
 /// stealing (see the module docs); the schedule never affects results,
 /// only wall-clock.
 ///
-/// # Errors
-///
-/// [`NetlistError::Cycle`] for cyclic circuits; worker panics propagate.
-///
-/// # Panics
-///
-/// Panics if `options.block_words` is not 0 (default), 1, 2, 4 or 8.
-pub fn run_parallel_opts<S, F>(
-    circuit: &Circuit,
-    make_source: F,
-    max_patterns: u64,
-    faults: &[Fault],
-    threads: usize,
-    options: SimOptions,
-) -> Result<FaultSimResult, NetlistError>
-where
-    S: PatternSource,
-    F: Fn() -> S + Sync,
-{
-    run_parallel_controlled(
-        circuit,
-        make_source,
-        max_patterns,
-        faults,
-        threads,
-        options,
-        &RunControl::unlimited(),
-    )
-    .map(|run| run.result)
-}
-
-/// [`run_parallel_opts`] under a [`RunControl`] token: every worker
-/// polls a clone of the token once per pattern block (see
+/// Every worker polls a clone of the token once per pattern block (see
 /// [`FaultSimulator::run_controlled`]) and exits cooperatively, so a
 /// cancelled or expired run releases all its threads within one block.
-///
 /// An interrupted parallel result is *best-effort*: work units may stop
 /// at different pattern counts, so the merged detections are not
 /// bit-identical to an interrupted sequential run (completed runs still
@@ -400,6 +300,28 @@ mod tests {
     use crate::{FaultUniverse, RandomPatterns};
     use tpi_netlist::{CircuitBuilder, GateKind};
 
+    /// A free-running parallel run's result.
+    fn run_free(
+        c: &Circuit,
+        seed: u64,
+        max_patterns: u64,
+        faults: &[Fault],
+        threads: usize,
+        options: SimOptions,
+    ) -> FaultSimResult {
+        run_parallel_controlled(
+            c,
+            || RandomPatterns::new(c.inputs().len(), seed),
+            max_patterns,
+            faults,
+            threads,
+            options,
+            &RunControl::unlimited(),
+        )
+        .unwrap()
+        .result
+    }
+
     fn sample() -> Circuit {
         let mut b = CircuitBuilder::new("s");
         let xs = b.inputs(10, "x");
@@ -419,14 +341,14 @@ mod tests {
         let sequential = sim.run(&mut src, 700, universe.faults()).unwrap();
 
         for threads in [1usize, 2, 3, 7, 8] {
-            let parallel = run_parallel(
+            let parallel = run_free(
                 &c,
-                || RandomPatterns::new(10, 77),
+                77,
                 700,
                 universe.faults(),
                 threads,
-            )
-            .unwrap();
+                SimOptions::default(),
+            );
             assert_eq!(parallel.fault_count(), sequential.fault_count());
             assert_eq!(parallel.patterns_applied(), sequential.patterns_applied());
             for i in 0..universe.len() {
@@ -452,15 +374,14 @@ mod tests {
 
         for threads in [1usize, 3, 8] {
             for block_words in [1usize, 2, 4, 8] {
-                let parallel = run_parallel_with(
+                let parallel = run_free(
                     &c,
-                    || RandomPatterns::new(10, 13),
+                    13,
                     300,
                     universe.faults(),
                     threads,
-                    block_words,
-                )
-                .unwrap();
+                    SimOptions::with_block_words(block_words),
+                );
                 assert_eq!(
                     parallel.patterns_applied(),
                     sequential.patterns_applied(),
@@ -481,7 +402,7 @@ mod tests {
     fn single_thread_delegates() {
         let c = sample();
         let universe = FaultUniverse::collapsed(&c).unwrap();
-        let r = run_parallel(&c, || RandomPatterns::new(10, 5), 256, universe.faults(), 1).unwrap();
+        let r = run_free(&c, 5, 256, universe.faults(), 1, SimOptions::default());
         assert_eq!(r.fault_count(), universe.len());
     }
 
@@ -489,7 +410,7 @@ mod tests {
     fn more_threads_than_faults() {
         let c = sample();
         let faults = [crate::Fault::stem_sa0(c.outputs()[0])];
-        let r = run_parallel(&c, || RandomPatterns::new(10, 5), 256, &faults, 64).unwrap();
+        let r = run_free(&c, 5, 256, &faults, 64, SimOptions::default());
         assert_eq!(r.fault_count(), 1);
     }
 
@@ -546,7 +467,7 @@ mod tests {
     #[test]
     fn empty_fault_list() {
         let c = sample();
-        let r = run_parallel(&c, || RandomPatterns::new(10, 5), 64, &[], 4).unwrap();
+        let r = run_free(&c, 5, 64, &[], 4, SimOptions::default());
         assert_eq!(r.fault_count(), 0);
         assert_eq!(r.coverage(), 1.0);
     }

@@ -92,7 +92,7 @@ impl PatternSource for RandomPatterns {
 /// every later draw and changes all values. `IndependentPatterns` instead
 /// hashes `(seed, input index, block index)`, which makes the stream of
 /// input `i` invariant under the insertion of inputs `j > i`. This is the
-/// property the incremental engine relies on: after a test-point insertion
+/// property candidate scoring relies on: after a test-point insertion
 /// appends aux inputs, all pre-existing inputs replay bit-identical
 /// values, so only the structural fanout cone of the edit can differ.
 ///

@@ -45,10 +45,8 @@ pub mod cop_delta;
 pub mod detect;
 pub mod profile;
 mod scoap;
-mod stafan;
 pub mod testlen;
 
 pub use cop::CopAnalysis;
 pub use cop_delta::CopProbe;
 pub use scoap::ScoapAnalysis;
-pub use stafan::StafanAnalysis;

@@ -53,7 +53,6 @@ fn bist_session(circuit: &Circuit, test_length: u64) -> Result<(), Box<dyn std::
         circuit.clone(),
         EngineConfig {
             patterns: test_length,
-            verify_incremental: false,
             ..EngineConfig::default()
         },
     )?;

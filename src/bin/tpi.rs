@@ -26,8 +26,8 @@
 //!
 //! Netlists are ISCAS-85 `.bench` files; `DFF`s are treated as full-scan
 //! pseudo-ports. Every command refuses a `--flag` it does not read.
-//! `insert --method constructive` runs on the incremental [`TpiEngine`]
-//! session, the same loop `batch` and `serve` run.
+//! `insert --method constructive` runs on a [`TpiEngine`] session, the
+//! same loop `batch` and `serve` run.
 
 use std::process::ExitCode;
 
@@ -538,12 +538,11 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
             plan
         }
         "constructive" => {
-            // The incremental engine session: cached analyses, dirty-cone
-            // re-measurement, memoized region DP.
+            // The engine session: cached analyses and measurements,
+            // memoized region DP.
             let mut engine = TpiEngine::with_registry(
                 circuit.clone(),
                 EngineConfig {
-                    verify_incremental: false,
                     block_words: options.block_words,
                     detection: options.detection,
                     candidate_eval,
@@ -557,15 +556,7 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
             let outcome = engine
                 .optimize(threshold, &OptimizeConfig::default())
                 .map_err(|e| e.to_string())?;
-            let stats = engine.stats();
-            eprintln!(
-                "engine: {} incremental re-sims ({} faults re-simulated, {} reused), \
-                 {} DP memo hits",
-                stats.incremental_sims,
-                stats.faults_resimulated,
-                stats.faults_skipped,
-                stats.memo_hits
-            );
+            eprintln!("engine: {} DP memo hits", engine.stats().memo_hits);
             interrupted = outcome.interrupted;
             outcome.plan
         }
@@ -639,7 +630,7 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
 /// deterministic pattern count. `--method greedy` runs the standalone
 /// [`PatternsOptimizer`]; `--method constructive` (the default) drives
 /// the same search through a [`TpiEngine`] session so the cube set is
-/// version-cached and every commit re-measures coverage incrementally.
+/// version-cached.
 fn insert_patterns(flags: &Flags) -> Result<(), String> {
     let circuit = load(flags.file()?)?;
     let method = flags.get("method").unwrap_or("constructive");
@@ -688,10 +679,7 @@ fn insert_patterns(flags: &Flags) -> Result<(), String> {
         SearchTier::Constructive => {
             let mut engine = TpiEngine::with_registry(
                 circuit.clone(),
-                EngineConfig {
-                    verify_incremental: false,
-                    ..EngineConfig::default()
-                },
+                EngineConfig::default(),
                 registry.clone(),
             )
             .map_err(|e| e.to_string())?;

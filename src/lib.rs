@@ -15,8 +15,8 @@
 //!   ([`tpi_testability`]);
 //! * [`core`] — the dynamic-programming test point inserter and its
 //!   baselines ([`tpi_core`]);
-//! * [`engine`] — the long-lived incremental session engine with analysis
-//!   caching, dirty-cone re-simulation and batch/serve front ends
+//! * [`engine`] — the long-lived session engine with analysis and
+//!   measurement caching, a DP memo and batch/serve front ends
 //!   ([`tpi_engine`]);
 //! * [`server`] — the concurrent multi-session front end: unix/TCP
 //!   line-JSON listener, admission control, graceful drain and the
@@ -78,5 +78,5 @@ pub mod prelude {
         FaultSimulator, FaultUniverse, LfsrPatterns, PatternSource, RandomPatterns,
         WeightedPatterns,
     };
-    pub use tpi_testability::{CopAnalysis, ScoapAnalysis, StafanAnalysis};
+    pub use tpi_testability::{CopAnalysis, ScoapAnalysis};
 }

@@ -106,21 +106,25 @@ fn cubes_are_mostly_dont_cares() {
 /// order into the pattern set.
 #[test]
 fn topoff_output_is_byte_identical_across_thread_counts() {
-    use krishnamurthy_tpi::sim::parallel::run_parallel;
+    use krishnamurthy_tpi::sim::parallel::run_parallel_controlled;
+    use krishnamurthy_tpi::sim::{RunControl, SimOptions};
 
     for circuit in [rpr::and_tree(12, 2).unwrap(), rpr::bus_match(6).unwrap()] {
         let universe = FaultUniverse::collapsed(&circuit).unwrap();
         let n_inputs = circuit.inputs().len();
         let mut reference: Option<(Vec<String>, Vec<String>)> = None;
         for threads in [1usize, 2, 4] {
-            let sim = run_parallel(
+            let sim = run_parallel_controlled(
                 &circuit,
                 || RandomPatterns::new(n_inputs, 11),
                 256,
                 universe.faults(),
                 threads,
+                SimOptions::default(),
+                &RunControl::unlimited(),
             )
-            .unwrap();
+            .unwrap()
+            .result;
             let leftovers: Vec<_> = sim
                 .undetected_indices()
                 .into_iter()

@@ -57,7 +57,6 @@ fn line(
     budget: Option<u64>,
 ) -> String {
     let config = EngineConfig {
-        verify_incremental: false,
         detection,
         score_threads,
         ..EngineConfig::default()

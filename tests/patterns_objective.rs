@@ -46,7 +46,6 @@ fn engine_constructive_tier_matches_the_reduction_guarantee() {
         let mut engine = TpiEngine::new(
             circuit,
             EngineConfig {
-                verify_incremental: false,
                 ..EngineConfig::default()
             },
         )

@@ -5,9 +5,9 @@ use proptest::prelude::*;
 
 use krishnamurthy_tpi::gen::dags::{random_dag, RandomDagConfig};
 use krishnamurthy_tpi::netlist::Circuit;
-use krishnamurthy_tpi::sim::parallel::run_parallel_opts;
+use krishnamurthy_tpi::sim::parallel::run_parallel_controlled;
 use krishnamurthy_tpi::sim::{
-    DetectionMode, FaultSimulator, FaultUniverse, RandomPatterns, SimOptions,
+    DetectionMode, FaultSimulator, FaultUniverse, RandomPatterns, RunControl, SimOptions,
 };
 
 fn small_dag(seed: u64, inputs: usize, gates: usize) -> Circuit {
@@ -37,22 +37,24 @@ proptest! {
         let n_inputs = c.inputs().len();
         for w in [1usize, 4] {
             for threads in [1usize, 3] {
-                let explicit = run_parallel_opts(
+                let explicit = run_parallel_controlled(
                     &c,
                     || RandomPatterns::new(n_inputs, seed ^ 0xc0de),
                     400,
                     universe.faults(),
                     threads,
                     opts(DetectionMode::Explicit, w),
-                ).unwrap();
-                let cpt = run_parallel_opts(
+                    &RunControl::unlimited(),
+                ).unwrap().result;
+                let cpt = run_parallel_controlled(
                     &c,
                     || RandomPatterns::new(n_inputs, seed ^ 0xc0de),
                     400,
                     universe.faults(),
                     threads,
                     opts(DetectionMode::CriticalPathTracing, w),
-                ).unwrap();
+                    &RunControl::unlimited(),
+                ).unwrap().result;
                 prop_assert_eq!(
                     cpt.patterns_applied(), explicit.patterns_applied(),
                     "patterns w={} threads={}", w, threads

@@ -26,7 +26,6 @@ fn engine_config(seed: u64) -> EngineConfig {
     EngineConfig {
         patterns: 256,
         seed,
-        verify_incremental: false,
         ..EngineConfig::default()
     }
 }

@@ -13,9 +13,9 @@ use proptest::prelude::*;
 
 use krishnamurthy_tpi::gen::dags::{random_dag, RandomDagConfig};
 use krishnamurthy_tpi::netlist::Circuit;
-use krishnamurthy_tpi::sim::parallel::run_parallel_opts;
+use krishnamurthy_tpi::sim::parallel::run_parallel_controlled;
 use krishnamurthy_tpi::sim::{
-    DetectionMode, FaultSimulator, FaultUniverse, RandomPatterns, SimOptions,
+    DetectionMode, FaultSimulator, FaultUniverse, RandomPatterns, RunControl, SimOptions,
 };
 
 fn small_dag(seed: u64, inputs: usize, gates: usize) -> Circuit {
@@ -109,22 +109,24 @@ proptest! {
         let mut src = RandomPatterns::new(n_inputs, seed ^ 0xBEEF);
         let reference = sim.run(&mut src, 320, universe.faults()).unwrap();
         for threads in [2usize, 3, 8] {
-            let stealing = run_parallel_opts(
+            let stealing = run_parallel_controlled(
                 &c,
                 || RandomPatterns::new(n_inputs, seed ^ 0xBEEF),
                 320,
                 universe.faults(),
                 threads,
                 options(),
-            ).unwrap();
-            let again = run_parallel_opts(
+                &RunControl::unlimited(),
+            ).unwrap().result;
+            let again = run_parallel_controlled(
                 &c,
                 || RandomPatterns::new(n_inputs, seed ^ 0xBEEF),
                 320,
                 universe.faults(),
                 threads,
                 options(),
-            ).unwrap();
+                &RunControl::unlimited(),
+            ).unwrap().result;
             for parallel in [&stealing, &again] {
                 prop_assert_eq!(
                     reference.patterns_applied(), parallel.patterns_applied(),
