@@ -173,7 +173,7 @@ const GOLDEN: &[(&str, &str)] = &[
     ("dag_i40_g560_s5_d-10/cpt_t2", "[cp-or@g195 op@g468 op@g232 cp-or@g41 cp-and@g344 op@g190 op@g364 op@g314 op@g313 op@g476 op@g437 op@g217 cp-or@g310 op@g368 cp-and@g14 cp-or@g219 op@g64 cp-or@g169 cp-or@g277 op@g375 op@g207 op@g558 op@tp_cp612 op@g227 op@g322 op@g122] cost=0x4031000000000000 coverage=[3fea384b0ebe5319 3feaf5b968fdc422 3feb15e44cd83cc3 3feb3d352a717add 3feb6bac01c97e70 3fec1e61656ac743 3fec37664f867a6a 3fec49453fe36819 3fec5eb72d1fb884 3fec70961d7ca633 3feca29ff1b40c82 3fecb0ebe5319775 3fecd4a9c5eb72d2 3fece2f5b968fdc4 3fecfbfaa384b0ec 3fed3197749b79f8 3fed3c506b39a22e 3fed4e2f5b968fdc 3fed600e4bf37d8b 3fed6e5a3f71087d 3fed7580392fcdf6 3fed7ca632ee936f 3fed83cc2cad58e8 3fed95ab1d0a4697] stopped=none evaluated=672"),
     ("dag_i16_g100_s6_points_d-10/cpt_t1", "[op@g80 cp-or@g3 op@g88 op@x4 op@tp_r118 op@g70 cp-or@g1 op@g31 op@tp_cp118 op@g68 op@g6 op@g67 op@g75 cp-or@g67 op@g45 op@g50 op@g76 cp-and@g39 op@g82 op@g83 op@g86 op@g93 cp-or@g90 op@g94] cost=0x402d000000000000 coverage=[3fea35a35a35a35a 3feb94b94b94b94c 3fec30c30c30c30c 3fec6b46b46b46b4 3fec924924924925 3fecb94b94b94b95 3fece04e04e04e05 3fed075075075075 3fed2e52e52e52e5 3fed7c57c57c57c5 3feda35a35a35a36 3fedb6db6db6db6e 3fedca5ca5ca5ca6 3fedddddddddddde 3fee04e04e04e04e 3fee186186186186 3fee2be2be2be2be 3fee3f63f63f63f6 3fee8d68d68d68d7 3feedb6db6db6db7 3fef507507507507 3fef63f63f63f63f 3fef9e79e79e79e8 3fefc57c57c57c58] stopped=none evaluated=387"),
     ("dag_i16_g100_s6_points_d-10/explicit_t2", "[op@g80 cp-or@g3 op@g88 op@x4 op@tp_r118 op@g70 cp-or@g1 op@g31 op@tp_cp118 op@g68 op@g6 op@g67 op@g75 cp-or@g67 op@g45 op@g50 op@g76 cp-and@g39 op@g82 op@g83 op@g86 op@g93 cp-or@g90 op@g94] cost=0x402d000000000000 coverage=[3fea35a35a35a35a 3feb94b94b94b94c 3fec30c30c30c30c 3fec6b46b46b46b4 3fec924924924925 3fecb94b94b94b95 3fece04e04e04e05 3fed075075075075 3fed2e52e52e52e5 3fed7c57c57c57c5 3feda35a35a35a36 3fedb6db6db6db6e 3fedca5ca5ca5ca6 3fedddddddddddde 3fee04e04e04e04e 3fee186186186186 3fee2be2be2be2be 3fee3f63f63f63f6 3fee8d68d68d68d7 3feedb6db6db6db7 3fef507507507507 3fef63f63f63f63f 3fef9e79e79e79e8 3fefc57c57c57c58] stopped=none evaluated=387"),
-    ("dag_i20_g200_s3_d-10/cpt_t1_budget1000000", "[cp-or@g3 cp-or@g45 cp-and@g25 op@g145 op@g196 tp@g20 op@g172 op@g36 op@g132 op@g140 op@g148 cp-or@g17 op@g160 op@g170 op@g197 cp-and@g19 cp-and@g35 cp-or@g53 cp-and@g102 cp-and@g86 op@g88 op@g75 op@g87 op@g100 cp-or@g21] cost=0x4032800000000000 coverage=[3fea1923dee37cc8 3feb183869774324 3fec03add5b0e68e 3fecb445e6dc211d 3fecef2341ea89f7 3fed20310dcbe157 3fed9fbb5315c486 3fedda98ae242d60 3fee01d6ead87347 3fee15760932963a 3fee3cb445e6dc21 3fee4683d513ed9b 3fee5a22f36e108e 3fee6dc211c83382 3fee816130225675 3feebc3e8b30bf4f 3feeed4c571216b0 3feef71be63f282a 3fef148a93c65c97 3fef2829b2207f8a 3fef31f9414d9104 3fef31f9414d9104] stopped=BudgetExhausted evaluated=434"),
+    ("dag_i20_g200_s3_d-10/cpt_t1_budget1000000", "[cp-or@g3 cp-or@g45 cp-and@g25 op@g145 op@g196 tp@g20 op@g172 op@g36 op@g132 op@g140 op@g148 cp-or@g17 op@g160 op@g170 op@g197 cp-and@g19 cp-and@g35 cp-or@g53 cp-and@g102 cp-and@g86 op@g88 op@g75 op@g87 op@g100 cp-or@g21 cp-and@g77] cost=0x4033800000000000 coverage=[3fea1923dee37cc8 3feb183869774324 3fec03add5b0e68e 3fecb445e6dc211d 3fecef2341ea89f7 3fed20310dcbe157 3fed9fbb5315c486 3fedda98ae242d60 3fee01d6ead87347 3fee15760932963a 3fee3cb445e6dc21 3fee4683d513ed9b 3fee5a22f36e108e 3fee6dc211c83382 3fee816130225675 3feebc3e8b30bf4f 3feeed4c571216b0 3feef71be63f282a 3fef148a93c65c97 3fef2829b2207f8a 3fef31f9414d9104 3fef31f9414d9104 3fef76a62b890b58] stopped=BudgetExhausted evaluated=450"),
 ];
 
 #[test]
