@@ -6,8 +6,9 @@
 //!
 //! The instance family is a bank of independent random-pattern-resistant
 //! AND cones: each commit touches one cone, so the other cones' region
-//! subproblems replay from the memo (`memo_hits`). `engine_ms` is the wall
-//! clock of one run and the only timing column.
+//! subproblems replay from the memo (`memo_hits`). `engine_ms`, the only
+//! timing column, is the least wall clock of five runs: on a shared host
+//! one run's time swings by half between runs.
 
 use tpi_bench::{ms, timed};
 use tpi_core::Threshold;
@@ -18,6 +19,8 @@ const PATTERNS: u64 = 4096;
 const SEED: u64 = 0xDAC_1987;
 const MAX_ROUNDS: usize = 12;
 const THRESHOLD_LOG2: f64 = -10.0;
+/// Runs per bank; `engine_ms` reports the least.
+const RUNS: usize = 5;
 
 fn main() {
     let threshold = Threshold::from_log2(THRESHOLD_LOG2);
@@ -30,28 +33,34 @@ fn main() {
     for &cones in &[4usize, 8, 16, 32] {
         let circuit = cone_bank(cones, 12);
 
-        let (engine_result, engine_t) = timed(|| {
-            let mut engine = TpiEngine::new(
-                circuit.clone(),
-                EngineConfig {
-                    patterns: PATTERNS,
-                    seed: SEED,
-                    ..EngineConfig::default()
-                },
-            )
-            .expect("engine builds");
-            let outcome = engine
-                .optimize(
-                    threshold,
-                    &OptimizeConfig {
-                        max_rounds: MAX_ROUNDS,
-                        ..OptimizeConfig::default()
+        // Every run returns the same outcome; keep the last and the
+        // least time.
+        let runs = (0..RUNS).map(|_| {
+            timed(|| {
+                let mut engine = TpiEngine::new(
+                    circuit.clone(),
+                    EngineConfig {
+                        patterns: PATTERNS,
+                        seed: SEED,
+                        ..EngineConfig::default()
                     },
                 )
-                .expect("engine loop runs");
-            (outcome, engine.stats())
+                .expect("engine builds");
+                let outcome = engine
+                    .optimize(
+                        threshold,
+                        &OptimizeConfig {
+                            max_rounds: MAX_ROUNDS,
+                            ..OptimizeConfig::default()
+                        },
+                    )
+                    .expect("engine loop runs");
+                (outcome, engine.stats())
+            })
         });
-        let (eng_out, stats) = engine_result;
+        let ((eng_out, stats), engine_t) = runs
+            .reduce(|(_, best), (run, t)| (run, best.min(t)))
+            .expect("at least one run");
 
         println!(
             "{cones}\t{}\t{}\t{}\t{:.2}\t{}",

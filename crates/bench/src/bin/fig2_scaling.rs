@@ -4,6 +4,8 @@
 //! polynomial (near-linear at fixed resolutions). Series B: exhaustive
 //! branch-and-bound visits on the same instances — exponential. This is
 //! the empirical face of "NP-hard in general, polynomial DP on trees".
+//! The DP runs on one worker (`threads: 1`), so `dp_ms` times the
+//! algorithm, not the host's thread count.
 
 use tpi_bench::{ms, timed};
 use tpi_core::{DpConfig, DpOptimizer, ExactOptimizer, Threshold, TpiProblem};
@@ -25,7 +27,11 @@ fn main() {
             nodes = circuit.node_count();
             let problem =
                 TpiProblem::min_cost(&circuit, Threshold::from_log2(-8.0)).expect("acyclic");
-            let (result, t) = timed(|| DpOptimizer::default().solve_with_stats(&problem));
+            let dp = DpOptimizer::new(DpConfig {
+                threads: 1,
+                ..DpConfig::default()
+            });
+            let (result, t) = timed(|| dp.solve_with_stats(&problem));
             let (_, stats) = result.expect("solvable at 2^-8");
             time_sum += t.as_secs_f64() * 1e3;
             states += stats.states_created;
@@ -44,7 +50,11 @@ fn main() {
     for &width in &[2usize, 3, 4, 5, 6] {
         let circuit = and_cone(width);
         let problem = TpiProblem::min_cost(&circuit, Threshold::from_log2(-2.0)).expect("acyclic");
-        let (dp, dp_t) = timed(|| DpOptimizer::new(DpConfig::exact()).solve(&problem));
+        let exact = DpOptimizer::new(DpConfig {
+            threads: 1,
+            ..DpConfig::exact()
+        });
+        let (dp, dp_t) = timed(|| exact.solve(&problem));
         let Ok(dp) = dp else { continue };
         let (res, bb_t) = timed(|| ExactOptimizer::with_max_nodes(20).solve(&problem));
         let (plan, stats) = res.expect("search completes");

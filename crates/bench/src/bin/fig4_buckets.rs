@@ -3,7 +3,9 @@
 //! The DP buckets `c1` and `demand` for pruning; this sweep shows solution
 //! cost and runtime as both resolutions grow. Expected shape: cost
 //! saturates at the optimum well before the resolutions get expensive —
-//! the knob trades nothing once past the knee.
+//! the knob trades nothing once past the knee. The DP runs on one worker
+//! (`threads: 1`), so the timing column times the algorithm, not the
+//! host's thread count.
 
 use tpi_bench::timed;
 use tpi_core::{DpConfig, DpOptimizer, Threshold, TpiProblem};
@@ -39,7 +41,10 @@ fn main() {
         let mut time_sum = 0.0;
         let mut state_sum = 0usize;
         for problem in &problems {
-            let dp = DpOptimizer::new(DpConfig::with_resolution(c1_res, d_res));
+            let dp = DpOptimizer::new(DpConfig {
+                threads: 1,
+                ..DpConfig::with_resolution(c1_res, d_res)
+            });
             let (result, t) = timed(|| dp.solve_with_stats(problem));
             let (plan, stats) = result.expect("feasible at 2^-8");
             cost_sum += plan.cost();

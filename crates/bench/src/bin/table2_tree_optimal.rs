@@ -4,7 +4,9 @@
 //! certified optimal by exhaustive branch-and-bound seeded with the DP
 //! plan as incumbent. Part B (scaled): on larger trees the bucketed DP is
 //! compared against the greedy baseline — the DP never costs more, and
-//! the table shows by how much greedy overpays.
+//! the table shows by how much greedy overpays. The DP runs on one worker
+//! (`threads: 1`), so `dp_ms` times the algorithm, not the host's thread
+//! count.
 
 use tpi_bench::{header, ms, timed};
 use tpi_core::evaluate::PlanEvaluator;
@@ -72,7 +74,11 @@ fn main() {
                     .expect("tree builds");
             let problem =
                 TpiProblem::min_cost(&circuit, Threshold::from_log2(-8.0)).expect("acyclic");
-            let (dp, dp_time) = timed(|| DpOptimizer::default().solve(&problem));
+            let dp = DpOptimizer::new(DpConfig {
+                threads: 1,
+                ..DpConfig::default()
+            });
+            let (dp, dp_time) = timed(|| dp.solve(&problem));
             let Ok(dp) = dp else { continue };
             let (greedy, greedy_time) = timed(|| GreedyOptimizer::default().solve(&problem));
             let greedy = greedy.expect("greedy runs");

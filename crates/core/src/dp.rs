@@ -46,21 +46,47 @@
 //! same bucket key, so a candidate starts as a plain record — its
 //! probabilities, cost and misses, plus the indices of the states and
 //! the decision it came from — offered to a flat bucket table that keeps
-//! one slot per live key and is reused from node to node. A plan (an `Rc`
+//! one slot per live key and is reused from node to node. A plan (an `Arc`
 //! join tree) is built only for a candidate that survives. Survivors
 //! leave the table in bucket-key order, and within a bucket in insertion
 //! order; on a tie in `(cost, misses)` (costs within `1e-15`) the state
 //! offered first is kept. These rules decide which of several
 //! equal-cost plans the DP returns.
+//!
+//! # Workers
+//!
+//! The subtrees entering a gate are disjoint, so they can be solved at
+//! the same time. A ready queue holds the nodes whose fanins are all
+//! solved, and [`DpConfig::threads`] workers, each with its own bucket
+//! tables, repeatedly take the one earliest in [`Topology::order`]. A
+//! node's frontier is written once, by the worker that solves it, and
+//! taken once, by the worker that solves its parent. It depends only on
+//! the fanins' frontiers, which are joined in fanin order, so plans,
+//! costs and [`DpStats`] (sums and a maximum) are bit-identical at every
+//! worker count. One worker runs on the calling thread and visits the
+//! nodes in exactly the topological order. Helper threads start only on
+//! trees of at least 256 nodes (`2 · NODES_PER_WORKER`). A failing node
+//! stops the nodes after it in the order, and the earliest failure is
+//! reported, as one worker would report it.
 
-use std::rc::Rc;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use tpi_netlist::{GateKind, NodeId, TestPoint, TestPointKind, Topology};
-use tpi_sim::RunControl;
+use tpi_sim::{RunControl, StopReason};
 
 use crate::{Plan, TpiError, TpiProblem};
 
 const DEMAND_EPS: f64 = 1e-9;
+
+/// Nodes each DP worker needs for its thread to pay off: a tree of `n`
+/// nodes gets at most `n / NODES_PER_WORKER` workers, so helpers start at
+/// twice this. On a 2-thread Xeon, starting a helper cost about 30 µs,
+/// and a second worker already won at 53 nodes of an AND/OR tree at the
+/// default resolution (50–150 µs a node) but only between 111 and 230
+/// nodes at resolution (2, 1) (about 2 µs a node); see DESIGN §6.1.
+const NODES_PER_WORKER: usize = 128;
 
 /// Tuning for [`DpOptimizer`].
 #[derive(Clone, Debug)]
@@ -72,8 +98,8 @@ pub struct DpConfig {
     /// Merge states only on bit-identical `(c1, demand)` — exact mode.
     pub exact: bool,
     /// Hard cap on frontier size per node (runaway protection; optimality
-    /// is lost if the cap ever binds — it does not on the experiment
-    /// suite).
+    /// is lost if the cap ever binds, which [`DpStats::truncated`]
+    /// reports — it does not bind on the experiment suite).
     pub max_states_per_node: usize,
     /// Allow full (cut) test points in the decision vocabulary
     /// (Table 7 ablation knob).
@@ -83,6 +109,11 @@ pub struct DpConfig {
     /// [`enable_full`](DpConfig::enable_full) off the DP degenerates to
     /// observation-point-only insertion — the Hayes/Friedman setting.
     pub enable_control: bool,
+    /// Workers solving independent subtrees at once (default: every
+    /// hardware thread; 0 counts as 1). Small trees use fewer, down to
+    /// one on the calling thread. Plans, costs and stats do not depend
+    /// on it.
+    pub threads: usize,
 }
 
 impl Default for DpConfig {
@@ -96,6 +127,7 @@ impl Default for DpConfig {
             max_states_per_node: 4096,
             enable_full: true,
             enable_control: true,
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
@@ -135,6 +167,9 @@ pub struct DpStats {
     pub max_frontier: usize,
     /// Total states created (before pruning).
     pub states_created: usize,
+    /// Nodes whose fold or frontier [`DpConfig::max_states_per_node`]
+    /// cut; optimality is lost when this is not 0.
+    pub truncated: usize,
 }
 
 /// The dynamic-programming test point inserter (fanout-free circuits).
@@ -145,48 +180,46 @@ pub struct DpOptimizer {
 
 /// Shareable plan fragments: an immutable join tree so that combining two
 /// frontiers never copies plan vectors (`O(1)` join, flattened once at the
-/// end).
+/// end). `Arc`, because a child's frontier may be taken by another worker.
 #[derive(Debug)]
 enum PlanTree {
-    Leaf(TestPoint),
-    Pair(Rc<PlanTree>, Rc<PlanTree>),
+    /// A plan, then one more point.
+    Push(PlanRef, TestPoint),
+    /// The left plan's points, then the right plan's.
+    Pair(Arc<PlanTree>, Arc<PlanTree>),
 }
 
-type PlanRef = Option<Rc<PlanTree>>;
+type PlanRef = Option<Arc<PlanTree>>;
 
 fn plan_join(a: &PlanRef, b: &PlanRef) -> PlanRef {
     match (a, b) {
         (None, x) | (x, None) => x.clone(),
-        (Some(x), Some(y)) => Some(Rc::new(PlanTree::Pair(x.clone(), y.clone()))),
+        (Some(x), Some(y)) => Some(Arc::new(PlanTree::Pair(x.clone(), y.clone()))),
     }
 }
 
 fn plan_push(a: &PlanRef, tp: TestPoint) -> PlanRef {
-    plan_join(a, &Some(Rc::new(PlanTree::Leaf(tp))))
+    Some(Arc::new(PlanTree::Push(a.clone(), tp)))
 }
 
 fn plan_flatten(plan: &PlanRef) -> Vec<TestPoint> {
+    // Emit the points last to first without recursion (plans can be deep
+    // chains), then reverse.
     let mut out = Vec::new();
-    let mut stack: Vec<&PlanTree> = Vec::new();
-    if let Some(p) = plan {
-        stack.push(p);
-    }
-    // In-order traversal without recursion (plans can be deep chains).
-    let mut order: Vec<&PlanTree> = Vec::new();
+    let mut stack: Vec<&PlanTree> = plan.iter().map(|p| &**p).collect();
     while let Some(t) = stack.pop() {
-        order.push(t);
-        if let PlanTree::Pair(l, r) = t {
-            stack.push(l);
-            stack.push(r);
+        match t {
+            PlanTree::Push(prefix, tp) => {
+                out.push(*tp);
+                stack.extend(prefix.as_deref());
+            }
+            PlanTree::Pair(left, right) => {
+                stack.push(left);
+                stack.push(right);
+            }
         }
     }
-    // `order` holds parents before children with right pushed last; a
-    // reverse sweep emits left-to-right leaf order.
-    for t in order.iter().rev() {
-        if let PlanTree::Leaf(tp) = t {
-            out.push(*tp);
-        }
-    }
+    out.reverse();
     out
 }
 
@@ -595,127 +628,7 @@ impl DpOptimizer {
                 stem: circuit.node_name(stem).to_string(),
             });
         }
-        let delta = problem.threshold().value();
-        let costs = *problem.costs();
-        let (c_o, c_c, c_f) = (costs.observe, costs.control, costs.full);
-
-        // Per-node targeted polarities, precomputed.
-        let mut targeted = vec![(false, false); circuit.node_count()];
-        for t in problem.targets() {
-            if t.stuck {
-                targeted[t.node.index()].1 = true;
-            } else {
-                targeted[t.node.index()].0 = true;
-            }
-        }
-
-        let mut stats = DpStats::default();
-        let mut frontiers: Vec<Option<Vec<State>>> = vec![None; circuit.node_count()];
-        let mut pairs: Buckets<Pair> = Buckets::new();
-        let mut choices: Buckets<Choice> = Buckets::new();
-        let mut kept: Vec<Choice> = Vec::new();
-
-        for (step, &id) in topo.order().iter().enumerate() {
-            if step & 63 == 0 {
-                if let Some(reason) = control.poll() {
-                    return Err(TpiError::Interrupted { reason });
-                }
-            }
-            let node = circuit.node(id);
-            let kind = node.kind();
-            // 1. Combine children into (c1_pre, pending) states.
-            let combined: Vec<FoldState> = if kind.is_source() {
-                let c1 = match kind {
-                    GateKind::Const0 => 0.0,
-                    GateKind::Const1 => 1.0,
-                    _ => problem.input_probability(id),
-                };
-                vec![FoldState {
-                    cacc: c1,
-                    wprod: 1.0,
-                    pending: 0.0,
-                    cost: 0.0,
-                    missed: 0,
-                    plan: None,
-                }]
-            } else {
-                self.fold_children(
-                    kind,
-                    node.fanins(),
-                    &mut frontiers,
-                    mode,
-                    &mut stats,
-                    &mut pairs,
-                )
-            };
-
-            // 2. Add own-fault demands (committing or, in MaxCoverage
-            // mode, abandoning each), then branch on local decisions.
-            let (t0, t1) = targeted[id.index()];
-            for (source, fs) in combined.iter().enumerate() {
-                let c1_pre = finalize_c1(kind, fs.cacc);
-                // (demand, extra misses) variants after this node's own
-                // targets are folded in: at most two per target polarity.
-                let mut variants = [(fs.pending, 0u32); 4];
-                let mut count = 1;
-                for (flag, exc) in [(t0, c1_pre), (t1, 1.0 - c1_pre)] {
-                    if !flag {
-                        continue;
-                    }
-                    let r = required(delta, exc);
-                    let mut expanded = [(0.0, 0u32); 4];
-                    let mut next = 0;
-                    for &(d, m) in &variants[..count] {
-                        let committed = d.max(r);
-                        if committed <= 1.0 + DEMAND_EPS {
-                            expanded[next] = (committed, m);
-                            next += 1;
-                        }
-                        if mode.allow_abandon {
-                            expanded[next] = (d, m + 1);
-                            next += 1;
-                        }
-                    }
-                    variants = expanded;
-                    count = next;
-                }
-                for &(demand, extra_missed) in &variants[..count] {
-                    stats.states_created += self.offer_options(
-                        &mut choices,
-                        source as u32,
-                        c1_pre,
-                        demand,
-                        fs.missed + extra_missed,
-                        fs.cost,
-                        (c_o, c_c, c_f),
-                        mode,
-                    );
-                }
-            }
-            self.prune(&mut choices, &mut kept, mode);
-            stats.max_frontier = stats.max_frontier.max(kept.len());
-            stats.nodes += 1;
-            if kept.is_empty() {
-                return Err(TpiError::Infeasible {
-                    fault: format!(
-                        "stem fault at `{}` (threshold {} exceeds reachable excitation)",
-                        circuit.node_name(id),
-                        problem.threshold()
-                    ),
-                });
-            }
-            frontiers[id.index()] = Some(
-                kept.iter()
-                    .map(|c| State {
-                        c1: c.c1,
-                        demand: c.demand,
-                        cost: c.cost,
-                        missed: c.missed,
-                        plan: c.decision.plan(&combined[c.source as usize].plan, id),
-                    })
-                    .collect(),
-            );
-        }
+        let (frontiers, stats) = Job::new(self, problem, &topo, mode).solve_all(control)?;
 
         // 3. Accept at the roots (minimise misses first, then cost).
         //
@@ -764,34 +677,32 @@ impl DpOptimizer {
         ))
     }
 
-    /// Fold the children frontiers of a gate into combined accumulator
-    /// states. Pairs are deduplicated into bucket keys on the fly, so the
-    /// pairwise product never materialises, and only the surviving pairs
-    /// get a joined plan.
+    /// Fold the children frontiers of a gate, in fanin order, into
+    /// combined accumulator states; `true` with them when the frontier cap
+    /// cut a fold step. Pairs are deduplicated into bucket keys on the
+    /// fly, so the pairwise product never materialises, and only the
+    /// surviving pairs get a joined plan.
     fn fold_children(
         &self,
         kind: GateKind,
-        fanins: &[NodeId],
-        frontiers: &mut [Option<Vec<State>>],
+        children: Vec<Vec<State>>,
         mode: RunMode,
         stats: &mut DpStats,
         pairs: &mut Buckets<Pair>,
-    ) -> Vec<FoldState> {
+    ) -> (Vec<FoldState>, bool) {
         let mut acc: Vec<FoldState> = Vec::new();
-        for (ci, &child) in fanins.iter().enumerate() {
-            let child_frontier = frontiers[child.index()]
-                .take()
-                .expect("children precede parents in topological order");
+        let mut cut = false;
+        for (ci, child_frontier) in children.into_iter().enumerate() {
             if ci == 0 {
                 acc = child_frontier
-                    .iter()
+                    .into_iter()
                     .map(|s| FoldState {
                         cacc: init_cacc(kind, s.c1),
                         wprod: side_weight(kind, s.c1),
                         pending: s.demand,
                         cost: s.cost,
                         missed: s.missed,
-                        plan: s.plan.clone(),
+                        plan: s.plan,
                     })
                     .collect();
                 continue;
@@ -842,9 +753,10 @@ impl DpOptimizer {
             if acc.len() > self.config.max_states_per_node {
                 acc.sort_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite"));
                 acc.truncate(self.config.max_states_per_node);
+                cut = true;
             }
         }
-        acc
+        (acc, cut)
     }
 
     fn fold_key(&self, cacc: f64, wprod: f64, pending: f64) -> Key {
@@ -959,8 +871,9 @@ impl DpOptimizer {
     /// Prune a node's candidates into `kept`: each `(c1, demand)` bucket
     /// keeps a `(cost, missed)` Pareto set; in MinCost mode a 2-D Pareto
     /// sweep per `c1` bucket then drops every state a lower-demand,
-    /// no-more-expensive sibling dominates.
-    fn prune(&self, choices: &mut Buckets<Choice>, kept: &mut Vec<Choice>, mode: RunMode) {
+    /// no-more-expensive sibling dominates. Returns whether the frontier
+    /// cap then cut `kept`.
+    fn prune(&self, choices: &mut Buckets<Choice>, kept: &mut Vec<Choice>, mode: RunMode) -> bool {
         kept.clear();
         choices.drain_sorted(|c| kept.push(c));
         if !mode.allow_abandon {
@@ -991,7 +904,351 @@ impl DpOptimizer {
                     .expect("finite")
             });
             kept.truncate(self.config.max_states_per_node);
+            return true;
         }
+        false
+    }
+}
+
+/// One run's read-only inputs, shared by every worker.
+struct Job<'a> {
+    dp: &'a DpOptimizer,
+    problem: &'a TpiProblem,
+    topo: &'a Topology,
+    /// Each node's position in the topological order.
+    rank: Vec<u32>,
+    /// Targeted `(stuck-at-0, stuck-at-1)` polarities per node.
+    targeted: Vec<(bool, bool)>,
+    mode: RunMode,
+}
+
+/// A frontier slot per node.
+type Frontiers = Vec<Option<Vec<State>>>;
+
+/// The ready queue and frontier slots the workers share.
+struct Queue {
+    /// Positions in the topological order of the nodes whose fanins are
+    /// all solved, earliest first.
+    ready: BinaryHeap<Reverse<u32>>,
+    /// Unsolved fanins per node.
+    waiting: Vec<u32>,
+    /// Each node's frontier, from its solve until its parent takes it.
+    frontiers: Frontiers,
+    /// Nodes handed out so far; every 64th polls the run's token.
+    started: usize,
+    /// Workers in the middle of a node.
+    busy: usize,
+    /// The earliest failing node's position and its error.
+    failed: Option<(u32, TpiError)>,
+    /// Set when the token fires (or a worker panics): every worker stops.
+    halted: Option<StopReason>,
+}
+
+impl Queue {
+    /// The next node to solve, or `None` when there is none now: the
+    /// queue is empty, halted, or holds only nodes after a failure.
+    fn next(&mut self) -> Option<u32> {
+        if self.halted.is_some() {
+            return None;
+        }
+        let Reverse(rank) = self.ready.pop()?;
+        match &self.failed {
+            Some((failed, _)) if rank > *failed => {
+                self.ready.clear();
+                None
+            }
+            _ => Some(rank),
+        }
+    }
+}
+
+/// A worker's reusable bucket tables and its share of the statistics.
+struct Tables {
+    pairs: Buckets<Pair>,
+    choices: Buckets<Choice>,
+    kept: Vec<Choice>,
+    stats: DpStats,
+}
+
+const POISONED: &str = "a DP worker panicked while holding the queue";
+
+/// Halts every worker when the one holding it unwinds, so none waits
+/// forever for the node the panicking worker was solving; the panic
+/// itself reaches the caller when the scope joins.
+struct HaltOnPanic<'a>(&'a Mutex<Queue>, &'a Condvar);
+
+impl Drop for HaltOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // Nothing reads the queue's contents after a panic, only
+            // `halted`, so a poisoned lock is safe to take here.
+            let mut q = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+            q.halted.get_or_insert(StopReason::Cancelled);
+            self.1.notify_all();
+        }
+    }
+}
+
+impl<'a> Job<'a> {
+    fn new(
+        dp: &'a DpOptimizer,
+        problem: &'a TpiProblem,
+        topo: &'a Topology,
+        mode: RunMode,
+    ) -> Job<'a> {
+        let n = problem.circuit().node_count();
+        let mut targeted = vec![(false, false); n];
+        for t in problem.targets() {
+            if t.stuck {
+                targeted[t.node.index()].1 = true;
+            } else {
+                targeted[t.node.index()].0 = true;
+            }
+        }
+        let mut rank = vec![0; n];
+        for (r, id) in topo.order().iter().enumerate() {
+            rank[id.index()] = r as u32;
+        }
+        Job {
+            dp,
+            problem,
+            topo,
+            rank,
+            targeted,
+            mode,
+        }
+    }
+
+    /// Solve every node, returning each root's frontier (interior slots
+    /// end empty) and the summed statistics.
+    fn solve_all(&self, control: &RunControl) -> Result<(Frontiers, DpStats), TpiError> {
+        let circuit = self.problem.circuit();
+        let order = self.topo.order();
+        let waiting: Vec<u32> = circuit
+            .node_ids()
+            .map(|id| circuit.fanins(id).len() as u32)
+            .collect();
+        let ready = circuit
+            .node_ids()
+            .filter(|id| waiting[id.index()] == 0)
+            .map(|id| Reverse(self.rank[id.index()]))
+            .collect();
+        let queue = Mutex::new(Queue {
+            ready,
+            waiting,
+            frontiers: vec![None; circuit.node_count()],
+            started: 0,
+            busy: 0,
+            failed: None,
+            halted: None,
+        });
+        let wake = Condvar::new();
+        let workers = self
+            .dp
+            .config
+            .threads
+            .min(order.len() / NODES_PER_WORKER)
+            .max(1);
+        let stats = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..workers)
+                .map(|_| scope.spawn(|| self.work(&queue, &wake, control)))
+                .collect();
+            let mut stats = self.work(&queue, &wake, control);
+            for helper in helpers {
+                let s = helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                stats.nodes += s.nodes;
+                stats.states_created += s.states_created;
+                stats.max_frontier = stats.max_frontier.max(s.max_frontier);
+                stats.truncated += s.truncated;
+            }
+            stats
+        });
+        let queue = queue.into_inner().expect(POISONED);
+        if let Some(reason) = queue.halted {
+            return Err(TpiError::Interrupted { reason });
+        }
+        match queue.failed {
+            Some((_, e)) => Err(e),
+            None => Ok((queue.frontiers, stats)),
+        }
+    }
+
+    /// One worker: take the earliest ready node, solve it outside the
+    /// lock, store its frontier and release its parent, until no node is
+    /// left to solve.
+    fn work(&self, queue: &Mutex<Queue>, wake: &Condvar, control: &RunControl) -> DpStats {
+        let _halt = HaltOnPanic(queue, wake);
+        let circuit = self.problem.circuit();
+        let order = self.topo.order();
+        let mut tables = Tables {
+            pairs: Buckets::new(),
+            choices: Buckets::new(),
+            kept: Vec::new(),
+            stats: DpStats::default(),
+        };
+        let mut q = queue.lock().expect(POISONED);
+        loop {
+            let Some(rank) = q.next() else {
+                if q.busy == 0 || q.halted.is_some() {
+                    wake.notify_all();
+                    break;
+                }
+                q = wake.wait(q).expect(POISONED);
+                continue;
+            };
+            let poll = q.started & 63 == 0;
+            q.started += 1;
+            q.busy += 1;
+            let id = order[rank as usize];
+            let children: Vec<Vec<State>> = circuit
+                .fanins(id)
+                .iter()
+                .map(|child| {
+                    q.frontiers[child.index()]
+                        .take()
+                        .expect("a node is ready only once its fanins are solved")
+                })
+                .collect();
+            drop(q);
+            let solved = match poll.then(|| control.poll()).flatten() {
+                Some(reason) => Err(reason),
+                None => Ok(self.solve_node(id, children, &mut tables)),
+            };
+            q = queue.lock().expect(POISONED);
+            q.busy -= 1;
+            match solved {
+                Err(reason) => {
+                    q.halted.get_or_insert(reason);
+                }
+                Ok(Ok(frontier)) => {
+                    q.frontiers[id.index()] = Some(frontier);
+                    if let Some(parent) = self.topo.fanouts(id).first() {
+                        let waiting = &mut q.waiting[parent.gate.index()];
+                        *waiting -= 1;
+                        if *waiting == 0 {
+                            q.ready.push(Reverse(self.rank[parent.gate.index()]));
+                            wake.notify_one();
+                        }
+                    }
+                }
+                Ok(Err(e)) => {
+                    if q.failed.as_ref().is_none_or(|(failed, _)| rank < *failed) {
+                        q.failed = Some((rank, e));
+                    }
+                }
+            }
+        }
+        tables.stats
+    }
+
+    /// Solve one node from its fanins' frontiers: fold them, add the
+    /// node's own fault demands, branch on the local decisions and prune.
+    ///
+    /// # Errors
+    ///
+    /// [`TpiError::Infeasible`] when no state survives.
+    fn solve_node(
+        &self,
+        id: NodeId,
+        children: Vec<Vec<State>>,
+        tables: &mut Tables,
+    ) -> Result<Vec<State>, TpiError> {
+        let dp = self.dp;
+        let problem = self.problem;
+        let mode = self.mode;
+        let delta = problem.threshold().value();
+        let costs = *problem.costs();
+        let stats = &mut tables.stats;
+        let kind = problem.circuit().node(id).kind();
+        // 1. Combine children into (c1_pre, pending) states.
+        let (combined, fold_cut) = if kind.is_source() {
+            let c1 = match kind {
+                GateKind::Const0 => 0.0,
+                GateKind::Const1 => 1.0,
+                _ => problem.input_probability(id),
+            };
+            let source = FoldState {
+                cacc: c1,
+                wprod: 1.0,
+                pending: 0.0,
+                cost: 0.0,
+                missed: 0,
+                plan: None,
+            };
+            (vec![source], false)
+        } else {
+            dp.fold_children(kind, children, mode, stats, &mut tables.pairs)
+        };
+
+        // 2. Add own-fault demands (committing or, in MaxCoverage
+        // mode, abandoning each), then branch on local decisions.
+        let (t0, t1) = self.targeted[id.index()];
+        for (source, fs) in combined.iter().enumerate() {
+            let c1_pre = finalize_c1(kind, fs.cacc);
+            // (demand, extra misses) variants after this node's own
+            // targets are folded in: at most two per target polarity.
+            let mut variants = [(fs.pending, 0u32); 4];
+            let mut count = 1;
+            for (flag, exc) in [(t0, c1_pre), (t1, 1.0 - c1_pre)] {
+                if !flag {
+                    continue;
+                }
+                let r = required(delta, exc);
+                let mut expanded = [(0.0, 0u32); 4];
+                let mut next = 0;
+                for &(d, m) in &variants[..count] {
+                    let committed = d.max(r);
+                    if committed <= 1.0 + DEMAND_EPS {
+                        expanded[next] = (committed, m);
+                        next += 1;
+                    }
+                    if mode.allow_abandon {
+                        expanded[next] = (d, m + 1);
+                        next += 1;
+                    }
+                }
+                variants = expanded;
+                count = next;
+            }
+            for &(demand, extra_missed) in &variants[..count] {
+                stats.states_created += dp.offer_options(
+                    &mut tables.choices,
+                    source as u32,
+                    c1_pre,
+                    demand,
+                    fs.missed + extra_missed,
+                    fs.cost,
+                    (costs.observe, costs.control, costs.full),
+                    mode,
+                );
+            }
+        }
+        let prune_cut = dp.prune(&mut tables.choices, &mut tables.kept, mode);
+        stats.max_frontier = stats.max_frontier.max(tables.kept.len());
+        stats.nodes += 1;
+        stats.truncated += usize::from(fold_cut || prune_cut);
+        if tables.kept.is_empty() {
+            return Err(TpiError::Infeasible {
+                fault: format!(
+                    "stem fault at `{}` (threshold {} exceeds reachable excitation)",
+                    problem.circuit().node_name(id),
+                    problem.threshold()
+                ),
+            });
+        }
+        Ok(tables
+            .kept
+            .iter()
+            .map(|c| State {
+                c1: c.c1,
+                demand: c.demand,
+                cost: c.cost,
+                missed: c.missed,
+                plan: c.decision.plan(&combined[c.source as usize].plan, id),
+            })
+            .collect())
     }
 }
 
@@ -1068,6 +1325,7 @@ mod tests {
     use super::*;
     use crate::evaluate::PlanEvaluator;
     use crate::{Threshold, TpiProblem};
+    use tpi_gen::trees::{random_tree, RandomTreeConfig};
     use tpi_netlist::CircuitBuilder;
 
     fn and_cone(width: usize) -> tpi_netlist::Circuit {
@@ -1256,6 +1514,36 @@ mod tests {
         assert_eq!(stats.nodes, c.node_count());
         assert!(stats.max_frontier >= 1);
         assert!(stats.states_created > 0);
+    }
+
+    fn and_or_tree(leaves: usize, seed: u64) -> tpi_netlist::Circuit {
+        random_tree(&RandomTreeConfig::with_leaves(leaves, seed).and_or_only()).unwrap()
+    }
+
+    #[test]
+    fn truncation_is_reported_when_the_cap_binds() {
+        let c = and_or_tree(64, 1);
+        let p = TpiProblem::min_cost(&c, Threshold::from_log2(-10.0)).unwrap();
+        let capped = DpConfig {
+            max_states_per_node: 4,
+            ..DpConfig::default()
+        };
+        let (_, stats) = DpOptimizer::new(capped).solve_with_stats(&p).unwrap();
+        assert!(stats.truncated > 0, "{stats:?}");
+        assert!(stats.truncated <= stats.nodes);
+        let (_, stats) = DpOptimizer::default().solve_with_stats(&p).unwrap();
+        assert_eq!(stats.truncated, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn the_benchmark_trees_are_never_truncated() {
+        // The trees of perfbench's `tree_dp` workload, at its threshold.
+        for (leaves, seed) in [(1024, 1), (2048, 2)] {
+            let c = and_or_tree(leaves, seed);
+            let p = TpiProblem::min_cost(&c, Threshold::from_log2(-10.0)).unwrap();
+            let (_, stats) = DpOptimizer::default().solve_with_stats(&p).unwrap();
+            assert_eq!(stats.truncated, 0, "{leaves} leaves: {stats:?}");
+        }
     }
 
     #[test]

@@ -73,7 +73,8 @@ pub struct ConstructiveOutcome {
     pub plan: Plan,
     /// Per-round measurements.
     pub rounds: Vec<RoundReport>,
-    /// Final measured fault coverage.
+    /// Measured fault coverage of the final circuit (after an
+    /// interruption: the coverage last measured before it).
     pub final_coverage: f64,
     /// The final modified circuit.
     pub modified: Circuit,

@@ -667,7 +667,9 @@ impl TpiEngine {
     /// `final_coverage` is the coverage last measured before
     /// interruption. Front ends wanting coverage *at* interruption
     /// re-measure under a fresh token (interrupted measurements are
-    /// never cached).
+    /// never cached). Otherwise `final_coverage` is the coverage of the
+    /// returned circuit: a loop that stops at `max_rounds` measures it
+    /// once more after the last round's commits.
     ///
     /// # Errors
     ///
@@ -755,6 +757,17 @@ impl TpiEngine {
             }
         }
 
+        // A loop that ran out of rounds committed points after its last
+        // measurement: measure the returned circuit (every other exit
+        // finds it cached). An interrupted run keeps the coverage last
+        // measured before the interruption.
+        if interrupted.is_none() {
+            match self.simulate() {
+                Ok(result) => coverage = result.coverage(),
+                Err(TpiError::Interrupted { reason }) => interrupted = Some(reason),
+                Err(e) => return Err(e),
+            }
+        }
         let cost = costs.total(&plan_points);
         let feasible = coverage >= cfg.target_coverage;
         Ok(ConstructiveOutcome {
@@ -1330,6 +1343,31 @@ mod tests {
         };
         let outcome = eng.optimize(Threshold::from_log2(-14.0), &cfg).unwrap();
         assert!(outcome.rounds.len() <= 2, "{} rounds", outcome.rounds.len());
+    }
+
+    #[test]
+    fn final_coverage_after_max_rounds_includes_the_last_commits() {
+        let mut eng = TpiEngine::new(
+            reconvergent(),
+            EngineConfig {
+                patterns: 512,
+                ..EngineConfig::default()
+            },
+        )
+        .unwrap();
+        let cfg = OptimizeConfig {
+            max_rounds: 1,
+            ..OptimizeConfig::default()
+        };
+        let outcome = eng.optimize(Threshold::from_log2(-14.0), &cfg).unwrap();
+        assert!(!outcome.plan.is_empty(), "the round commits a point");
+        assert!(outcome.interrupted.is_none());
+        // The returned circuit was measured once more, and a later query
+        // reads that measurement from the cache.
+        assert_eq!(eng.stats().full_sims, 2);
+        assert_eq!(outcome.final_coverage, eng.coverage().unwrap());
+        assert_eq!(eng.stats().full_sims, 2);
+        assert!(outcome.final_coverage > outcome.rounds[0].coverage);
     }
 
     #[test]

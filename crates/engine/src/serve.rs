@@ -633,6 +633,29 @@ mod tests {
     }
 
     #[test]
+    fn optimize_reports_the_coverage_of_its_plan_after_max_rounds() {
+        // Both rounds commit points, so the loop stops at `max_rounds`
+        // with the second round's points unmeasured until the reply.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/dag400_s5.bench");
+        let mut state = ServeState::new();
+        ok(&state
+            .handle_line(&format!(r#"{{"cmd":"load","path":"{path}"}}"#))
+            .unwrap());
+        let optimize = ok(&state
+            .handle_line(r#"{"cmd":"optimize","threshold_log2":-10,"max_rounds":2}"#)
+            .unwrap());
+        assert_eq!(optimize.get("rounds").and_then(Json::as_u64), Some(2));
+        assert!(optimize.get("partial").is_none());
+        let coverage = ok(&state.handle_line(r#"{"cmd":"coverage"}"#).unwrap());
+        let replied = optimize.get("coverage").and_then(Json::as_f64).unwrap();
+        assert_eq!(
+            Some(replied),
+            coverage.get("coverage").and_then(Json::as_f64)
+        );
+        assert_eq!(format!("{replied:.4}"), "0.7351");
+    }
+
+    #[test]
     fn bad_thresholds_are_refused_and_keep_the_session() {
         let mut state = ServeState::new();
         ok(&state

@@ -4,8 +4,9 @@
 # --metrics-out` (constructive, dp and greedy; constructive also on
 # results/dag400_s5.bench, run from the repo root) must write well-formed
 # registry snapshots with the expected keys, the batch summary line must
-# carry the per-status split, and `tpi stats` must render the snapshot
-# as a table.
+# carry the per-status split, `tpi insert --method dp` must print the same
+# report and DP work counters at `--threads 1` and `--threads 2`, and
+# `tpi stats` must render the snapshot as a table.
 set -euo pipefail
 
 TPI="${TPI:-target/release/tpi}"
@@ -153,7 +154,43 @@ states = doc["core.dp.states_created"]
 assert states["type"] == "counter" and states["value"] >= nodes["value"], states
 frontier = doc["core.dp.max_frontier"]
 assert frontier["type"] == "gauge" and 1 <= frontier["value"] <= states["value"], frontier
-print("dp insert metrics: ok (nodes, states created, largest frontier)")
+truncated = doc["core.dp.truncated"]
+assert truncated["type"] == "counter" and truncated["value"] == 0, truncated
+print("dp insert metrics: ok (nodes, states created, largest frontier, no truncation)")
+EOF
+
+# ---- insert --method dp: --threads changes no plan. ----
+# A 1 024-leaf AND/OR tree (2 047 nodes) is big enough that the DP runs a
+# worker per thread; one and two workers must print the same report and
+# publish the same work counters. Only the verification line names the
+# thread count.
+python3 - > "$dir/tree.bench" <<'EOF'
+kinds = ["AND", "OR", "NAND", "NOR"]
+layer = [f"x{i}" for i in range(1024)]
+print("\n".join(f"INPUT({x})" for x in layer))
+g = 0
+while len(layer) > 1:
+    nxt = []
+    for i in range(0, len(layer), 2):
+        print(f"g{g} = {kinds[(g * 7 + g // 5) % 4]}({layer[i]}, {layer[i + 1]})")
+        nxt.append(f"g{g}")
+        g += 1
+    layer = nxt
+print(f"OUTPUT({layer[0]})")
+EOF
+for t in 1 2; do
+  "$TPI" insert "$dir/tree.bench" --log2-threshold -10 --method dp --threads "$t" \
+    --metrics-out "$dir/tree_t$t.json" | sed -E 's/, [0-9]+ threads\)$/, N threads)/' > "$dir/tree_t$t.txt"
+done
+diff "$dir/tree_t1.txt" "$dir/tree_t2.txt"
+python3 - "$dir/tree_t1.json" "$dir/tree_t2.json" <<'EOF'
+import json, sys
+one, two = (json.load(open(path)) for path in sys.argv[1:])
+keys = ["core.dp.nodes", "core.dp.states_created", "core.dp.max_frontier", "core.dp.truncated"]
+for key in keys:
+    assert one[key]["value"] == two[key]["value"], (key, one[key], two[key])
+assert one["core.dp.nodes"]["value"] == 2047, one["core.dp.nodes"]
+print("dp threads: ok (same report and work counters at 1 and 2 workers)")
 EOF
 
 # ---- insert --method greedy --metrics-out: greedy's own work counters. ----

@@ -4,7 +4,7 @@
 # results/. Timing columns (those whose header ends in `_ms`; only
 # engine_scaling's `engine_ms` today) are masked on both sides; every other
 # byte must match. The tables take about 15 s each in a release build,
-# engine_scaling under a second.
+# engine_scaling (five runs a bank) about 2 s.
 set -euo pipefail
 
 target="${CARGO_TARGET_DIR:-target}"

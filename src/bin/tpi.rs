@@ -26,6 +26,8 @@
 //!
 //! Netlists are ISCAS-85 `.bench` files; `DFF`s are treated as full-scan
 //! pseudo-ports. Every command refuses a `--flag` it does not read.
+//! `--threads` sets the fault simulation's workers and, for `insert
+//! --method dp`, the tree DP's; results do not depend on it.
 //! `insert --method constructive` runs on a [`TpiEngine`] session, the
 //! same loop `batch` and `serve` run.
 
@@ -35,7 +37,7 @@ use krishnamurthy_tpi::atpg::{redundancy, topoff, PodemConfig};
 use krishnamurthy_tpi::compaction::{PatternsConfig, PatternsOptimizer, SearchTier};
 use krishnamurthy_tpi::core::report::InsertionReport;
 use krishnamurthy_tpi::core::{
-    CandidateEval, DpOptimizer, GreedyConfig, GreedyOptimizer, Threshold, TpiProblem,
+    CandidateEval, DpConfig, DpOptimizer, GreedyConfig, GreedyOptimizer, Threshold, TpiProblem,
 };
 use krishnamurthy_tpi::engine::{
     batch, json::Json, schema, serve, EngineConfig, OptimizeConfig, RunControl, SharedMemoConfig,
@@ -119,7 +121,10 @@ fn print_usage() {
          tpi serve    [--stdio | --listen unix:PATH|HOST:PORT] [--max-gates N]\n           \
          [--max-patterns N] [--max-sessions N] [--accept-queue N] [--max-inflight N]\n           \
          [--shared-memo-capacity N] [--isolated-memo] [--metrics-out FILE]\n  \
-         tpi stats    <metrics.json>"
+         tpi stats    <metrics.json>\n\n\
+         --threads N: fault-simulation workers and, for insert --method dp, the\n\
+         tree DP's workers (default: every hardware thread; results do not\n\
+         depend on it)"
     );
 }
 
@@ -278,8 +283,8 @@ fn analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `--threads N`: simulation workers, every available hardware thread
-/// by default.
+/// `--threads N`: simulation workers (and, for `insert --method dp`, the
+/// tree DP's workers), every available hardware thread by default.
 fn threads_flag(flags: &Flags) -> Result<usize, String> {
     let default = std::thread::available_parallelism().map_or(1, |n| n.get());
     match flags.num("threads", default)? {
@@ -498,15 +503,21 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
     let mut interrupted = None;
     let plan = match method {
         "dp" => {
-            let (plan, stats) = DpOptimizer::default()
-                // Bottom-up DP has no useful half-finished table: a
-                // deadline here is a hard error, not an anytime result.
-                .solve_region_controlled(&problem, 1.0, &control)
-                .map_err(|e| {
-                    format!("{e}\nhint: for reconvergent circuits use --method constructive")
-                })?;
+            // `--threads` also sets the DP's workers; the plan is the same
+            // at every count.
+            let (plan, stats) = DpOptimizer::new(DpConfig {
+                threads,
+                ..DpConfig::default()
+            })
+            // Bottom-up DP has no useful half-finished table: a
+            // deadline here is a hard error, not an anytime result.
+            .solve_region_controlled(&problem, 1.0, &control)
+            .map_err(|e| {
+                format!("{e}\nhint: for reconvergent circuits use --method constructive")
+            })?;
             // The DP's work: nodes, candidate states, largest frontier
-            // (a gauge, since shards merge it by maximum).
+            // (a gauge, since shards merge it by maximum), and the nodes
+            // the frontier cap cut (optimality is lost when not 0).
             registry.counter("core.dp.nodes").add(stats.nodes as u64);
             registry
                 .counter("core.dp.states_created")
@@ -514,6 +525,9 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
             registry
                 .gauge("core.dp.max_frontier")
                 .set(stats.max_frontier as i64);
+            registry
+                .counter("core.dp.truncated")
+                .add(stats.truncated as u64);
             plan
         }
         "greedy" => {
