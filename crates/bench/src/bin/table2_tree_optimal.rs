@@ -4,13 +4,15 @@
 //! certified optimal by exhaustive branch-and-bound seeded with the DP
 //! plan as incumbent. Part B (scaled): on larger trees the bucketed DP is
 //! compared against the greedy baseline — the DP never costs more, and
-//! the table shows by how much greedy overpays. The DP runs on one worker
-//! (`threads: 1`), so `dp_ms` times the algorithm, not the host's thread
-//! count.
+//! the table shows by how much greedy overpays. The DP and greedy run on
+//! one worker each (`threads: 1`), so `dp_ms` and `greedy_ms` time the
+//! algorithms, not the host's thread count.
 
 use tpi_bench::{header, ms, timed};
 use tpi_core::evaluate::PlanEvaluator;
-use tpi_core::{DpConfig, DpOptimizer, ExactOptimizer, GreedyOptimizer, Threshold, TpiProblem};
+use tpi_core::{
+    DpConfig, DpOptimizer, ExactOptimizer, GreedyConfig, GreedyOptimizer, Threshold, TpiProblem,
+};
 use tpi_gen::trees::{random_tree, RandomTreeConfig};
 
 fn main() {
@@ -80,7 +82,11 @@ fn main() {
             });
             let (dp, dp_time) = timed(|| dp.solve(&problem));
             let Ok(dp) = dp else { continue };
-            let (greedy, greedy_time) = timed(|| GreedyOptimizer::default().solve(&problem));
+            let greedy = GreedyOptimizer::new(GreedyConfig {
+                threads: 1,
+                ..GreedyConfig::default()
+            });
+            let (greedy, greedy_time) = timed(|| greedy.solve(&problem));
             let greedy = greedy.expect("greedy runs");
             let evaluator = PlanEvaluator::new(&problem).expect("evaluator");
             assert!(evaluator.evaluate(dp.test_points()).expect("eval").feasible);

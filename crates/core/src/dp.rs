@@ -750,9 +750,13 @@ impl DpOptimizer {
                 });
             });
             acc = folded;
-            if acc.len() > self.config.max_states_per_node {
+            let cap = self.config.max_states_per_node;
+            if acc.len() > cap {
                 acc.sort_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite"));
-                acc.truncate(self.config.max_states_per_node);
+                if mode.allow_abandon {
+                    keep_least_demand(&mut acc, cap, |s| (s.pending, s.cost));
+                }
+                acc.truncate(cap);
                 cut = true;
             }
         }
@@ -897,16 +901,41 @@ impl DpOptimizer {
                 keep
             });
         }
-        if kept.len() > self.config.max_states_per_node {
+        let cap = self.config.max_states_per_node;
+        if kept.len() > cap {
             kept.sort_by(|a, b| {
                 (a.missed, a.cost)
                     .partial_cmp(&(b.missed, b.cost))
                     .expect("finite")
             });
-            kept.truncate(self.config.max_states_per_node);
+            if mode.allow_abandon {
+                keep_least_demand(kept, cap, |c| (c.demand, c.cost));
+            }
+            kept.truncate(cap);
             return true;
         }
         false
+    }
+}
+
+/// Before a MaxCoverage cap of `cap` states cuts `states`, move the
+/// cheapest state of least demand (the first in `states`' order) into the
+/// last kept slot if the cut would drop it. Abandoning every target below
+/// a node gives demand 0 at no cost, and such a state pairs with its
+/// siblings' into another one, so keeping it leaves every root a state to
+/// accept and `solve_max_coverage` never reports `Infeasible`. The cost
+/// and `(missed, cost)` orders the caps sort by would otherwise drop it.
+fn keep_least_demand<T>(states: &mut [T], cap: usize, demand_cost: impl Fn(&T) -> (f64, f64)) {
+    let Some(last) = cap.checked_sub(1) else {
+        return;
+    };
+    let least = (0..states.len()).min_by(|&a, &b| {
+        demand_cost(&states[a])
+            .partial_cmp(&demand_cost(&states[b]))
+            .expect("finite")
+    });
+    if let Some(least) = least.filter(|&least| least > last) {
+        states.swap(last, least);
     }
 }
 
@@ -1680,6 +1709,56 @@ mod tests {
         assert!(restricted.cost() >= full.cost() - 1e-9);
         let (_, _, _, cut_points) = restricted.kind_counts();
         assert_eq!(cut_points, 0);
+    }
+
+    /// `solve_max_coverage` with a cap small enough to bind must still
+    /// return a plan within the budget: both caps keep the cheapest
+    /// least-demand state, so the abandon-everything states survive to
+    /// the roots.
+    fn max_coverage_under_a_binding_cap(p: &TpiProblem, cap: usize, config: DpConfig, budget: f64) {
+        let config = DpConfig {
+            max_states_per_node: cap,
+            ..config
+        };
+        let (plan, missed) = DpOptimizer::new(config)
+            .solve_max_coverage(p, budget)
+            .unwrap_or_else(|e| panic!("{} at cap {cap}: {e}", p.circuit().name()));
+        assert!(plan.cost() <= budget + 1e-9, "{plan}");
+        let eval = PlanEvaluator::new(p)
+            .unwrap()
+            .evaluate(plan.test_points())
+            .unwrap();
+        assert!(
+            eval.meeting + missed >= p.targets().len(),
+            "missed {missed}"
+        );
+    }
+
+    #[test]
+    fn max_coverage_survives_a_binding_frontier_cap() {
+        // Both failed at an interior gate while the frontier cap kept
+        // only the lowest `(missed, cost)` states.
+        let delta = Threshold::from_log2(-5.0);
+        let p = TpiProblem::min_cost(&and_or_tree(128, 5), delta).unwrap();
+        max_coverage_under_a_binding_cap(&p, 256, DpConfig::default(), 11.5);
+        let c = random_tree(&RandomTreeConfig::with_leaves(240, 5)).unwrap();
+        let p = TpiProblem::min_cost(&c, delta).unwrap();
+        max_coverage_under_a_binding_cap(&p, 64, DpConfig::with_resolution(16, 2), 20.0);
+    }
+
+    #[test]
+    fn max_coverage_survives_a_binding_fold_cap() {
+        // With free control points a fold step has more cost-0 states
+        // (of different `c1`) than the cap, and sorting by cost alone
+        // dropped every demand-0 one.
+        let free_control = crate::CostModel {
+            control: 0.0,
+            ..crate::CostModel::default()
+        };
+        let p = TpiProblem::min_cost(&and_or_tree(32, 1), Threshold::from_log2(-4.0))
+            .unwrap()
+            .with_costs(free_control);
+        max_coverage_under_a_binding_cap(&p, 4, DpConfig::with_resolution(8, 2), 3.0);
     }
 
     #[test]

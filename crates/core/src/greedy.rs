@@ -1,10 +1,20 @@
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use tpi_netlist::transform::apply_plan;
-use tpi_netlist::{TestPoint, TestPointKind, Topology};
+use tpi_netlist::{NetlistError, TestPoint, TestPointKind, Topology};
 use tpi_sim::{RunControl, StopReason};
 use tpi_testability::{CopAnalysis, CopProbe};
 
 use crate::evaluate::PlanEvaluator;
 use crate::{CandidateEval, Plan, TpiError, TpiProblem};
+
+/// Candidates each greedy worker needs for its thread to pay off: a round
+/// of `n` candidates gets at most `n / CANDIDATES_PER_WORKER` workers, so
+/// helpers start at twice this. See DESIGN §6.2i for the measurement.
+const CANDIDATES_PER_WORKER: usize = 128;
+
+/// Candidate indices a worker claims at a time.
+const CLAIM: usize = 16;
 
 /// Tuning for [`GreedyOptimizer`].
 #[derive(Clone, Debug)]
@@ -22,6 +32,11 @@ pub struct GreedyConfig {
     /// re-analysis per candidate. Both select bit-identical plans; legacy
     /// is kept as the A/B oracle behind `--candidate-eval legacy`.
     pub candidate_eval: CandidateEval,
+    /// Workers scoring a round's candidates at once (default: every
+    /// hardware thread; 0 counts as 1). Small rounds use fewer, down to
+    /// one on the calling thread; the legacy oracle always uses one.
+    /// Plans, costs, stats and errors do not depend on it.
+    pub threads: usize,
 }
 
 impl Default for GreedyConfig {
@@ -36,6 +51,7 @@ impl Default for GreedyConfig {
                 TestPointKind::Full,
             ],
             candidate_eval: CandidateEval::default(),
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
         }
     }
 }
@@ -183,17 +199,20 @@ impl GreedyOptimizer {
             };
             if self.config.candidate_eval == CandidateEval::Batched {
                 // One full analysis of the committed-plan circuit per
-                // round, then O(cone) probes per candidate.
+                // round, then O(cone) probes per candidate, scored on the
+                // workers and considered here in candidate order.
                 let (cur, _) = apply_plan(circuit, &plan)?;
                 let cur_topo = Topology::of(&cur)?;
                 let cur_cop = CopAnalysis::with_input_probs(&cur, problem.input_probs())?;
-                let mut probe = CopProbe::new(&cur, &cur_topo, &cur_cop, &target_sites);
-                for candidate in candidates {
-                    let (meeting, deficit) = scorer.score(probe.probe(candidate)?);
+                let probe = CopProbe::new(&cur, &cur_topo, &cur_cop, &target_sites);
+                let candidates: Vec<TestPoint> = candidates.collect();
+                let (scores, visited) =
+                    score_round(&candidates, probe, &mut scorer, self.config.threads)?;
+                for (&candidate, &(meeting, deficit)) in candidates.iter().zip(&scores) {
                     consider(candidate, meeting, deficit);
-                    stats.probes += 1;
                 }
-                stats.probe_nodes += probe.nodes_visited();
+                stats.probes += candidates.len();
+                stats.probe_nodes += visited;
             } else {
                 for candidate in candidates {
                     plan.push(candidate);
@@ -224,6 +243,109 @@ impl GreedyOptimizer {
     }
 }
 
+/// Score every candidate of a round against one frozen snapshot:
+/// `(meeting, deficit)` per candidate, in candidate order, and the probe
+/// nodes visited. A round gets `min(threads, candidates /
+/// CANDIDATES_PER_WORKER)` workers, at least one; one worker is the
+/// calling thread with `probe` and `scorer`, and each helper probes with
+/// its own clones. A probe's delta and visit count depend only on the
+/// candidate and the snapshot (the probe's scratch state equals the
+/// snapshot between probes), so the scores, their sum of visits and the
+/// error of the earliest failing candidate are the same at every worker
+/// count.
+fn score_round(
+    candidates: &[TestPoint],
+    mut probe: CopProbe<'_>,
+    scorer: &mut DeltaScorer,
+    threads: usize,
+) -> Result<(Vec<(usize, f64)>, usize), NetlistError> {
+    let workers = threads.min(candidates.len() / CANDIDATES_PER_WORKER).max(1);
+    let next = AtomicUsize::new(0);
+    let shares = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers)
+            .map(|_| {
+                let (mut probe, mut scorer) = (probe.clone(), scorer.clone());
+                let next = &next;
+                scope.spawn(move || score_claimed(candidates, next, &mut probe, &mut scorer))
+            })
+            .collect();
+        let mut shares = vec![score_claimed(candidates, &next, &mut probe, scorer)];
+        shares.extend(helpers.into_iter().map(|helper| {
+            helper
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        shares
+    });
+    let mut scores = vec![(0, 0.0); candidates.len()];
+    let mut visited = 0;
+    let mut failed: Option<(usize, NetlistError)> = None;
+    for share in shares {
+        for (i, score) in share.scores {
+            scores[i] = score;
+        }
+        visited += share.visited;
+        if let Some((i, e)) = share.failed {
+            if failed.as_ref().is_none_or(|&(f, _)| i < f) {
+                failed = Some((i, e));
+            }
+        }
+    }
+    match failed {
+        Some((_, e)) => Err(e),
+        None => Ok((scores, visited)),
+    }
+}
+
+/// One worker's part of a round.
+struct Share {
+    /// `(candidate index, (meeting, deficit))`.
+    scores: Vec<(usize, (usize, f64))>,
+    /// Probe nodes visited.
+    visited: usize,
+    /// The worker's first failing candidate; it scores nothing after it.
+    failed: Option<(usize, NetlistError)>,
+}
+
+/// Claim [`CLAIM`] candidate indices at a time from `next` and score them
+/// until none is left or one fails. Every index below a failing one was
+/// claimed before it, so some worker scores it.
+fn score_claimed(
+    candidates: &[TestPoint],
+    next: &AtomicUsize,
+    probe: &mut CopProbe<'_>,
+    scorer: &mut DeltaScorer,
+) -> Share {
+    let start = probe.nodes_visited();
+    let mut share = Share {
+        scores: Vec::new(),
+        visited: 0,
+        failed: None,
+    };
+    'claims: loop {
+        let first = next.fetch_add(CLAIM, Ordering::Relaxed);
+        if first >= candidates.len() {
+            break;
+        }
+        let end = (first + CLAIM).min(candidates.len());
+        for (i, &candidate) in (first..end).zip(&candidates[first..end]) {
+            match probe.probe(candidate) {
+                Ok(moved) => share.scores.push((i, scorer.score(moved))),
+                Err(e) => {
+                    share.failed = Some((i, e));
+                    break 'claims;
+                }
+            }
+        }
+    }
+    share.visited = probe.nodes_visited() - start;
+    share
+}
+
+/// Relative margin above δ past which [`DeltaScorer::shortfall`] skips
+/// its `log2`.
+const CLEAR_MARGIN: f64 = 1.0 / (1u64 << 32) as f64;
+
 /// Greedy's plateau tie-breaker is the total log₂ shortfall of the unmet
 /// targets (the *deficit*): when no single point pushes a target over the
 /// threshold, make the move that shrinks the aggregate gap fastest.
@@ -238,10 +360,14 @@ impl GreedyOptimizer {
 /// `1e-12` tie-break decided on it — is bit-identical to the full sum,
 /// while `log2` runs only on the reported targets. (A `Σ(old − new)`
 /// shortcut over the reported targets would differ in the last bits.)
+#[derive(Clone)]
 struct DeltaScorer {
     log2_delta: f64,
     /// The probability at which a target counts as meeting δ.
     meets_at: f64,
+    /// Above this probability a target's shortfall is 0 without a
+    /// `log2`; see [`DeltaScorer::shortfall`].
+    clear_above: f64,
     terms: Vec<f64>,
     meets: Vec<bool>,
     meeting: usize,
@@ -256,6 +382,7 @@ impl DeltaScorer {
         DeltaScorer {
             log2_delta: delta.log2(),
             meets_at: delta - 1e-12,
+            clear_above: delta * (1.0 + CLEAR_MARGIN),
             terms: Vec::new(),
             meets: Vec::new(),
             meeting: 0,
@@ -265,7 +392,18 @@ impl DeltaScorer {
     }
 
     /// One target's shortfall below δ in log₂ units, 0 once met.
+    ///
+    /// Most targets clear δ by far, and `log2` is most of the scorer's
+    /// time, so a `p` above `δ · (1 + 2⁻³²)` returns 0 at once. There the
+    /// exact `log₂ p − log₂ δ` exceeds `2⁻³² / ln 2 ≈ 3.4e-10`, while the
+    /// two rounded `log2`s (each within an ulp of values below 1 075 in
+    /// magnitude, so within `2.3e-13`) cannot close that gap: the full
+    /// formula's difference is negative and its `max` gives the same
+    /// `+0.0`. Inside the band the formula runs as it always did.
     fn shortfall(&self, p: f64) -> f64 {
+        if p > self.clear_above {
+            return 0.0;
+        }
         (self.log2_delta - p.max(1e-300).log2()).max(0.0)
     }
 
@@ -486,37 +624,136 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(14);
-        // Probabilities over many magnitudes, a few of them exactly 0 or
-        // at δ, so terms are of every size and many are 0.
-        let delta = 2f64.powi(-10);
-        let draw = |rng: &mut StdRng| match rng.gen_range(0..8u32) {
-            0 => 0.0,
-            1 => delta,
-            _ => 2f64.powf(-rng.gen_range(0.0..30.0)),
-        };
-        let base: Vec<f64> = (0..500).map(|_| draw(&mut rng)).collect();
-        let mut scorer = DeltaScorer::new(delta);
-        scorer.reset(&base);
-        assert_eq!(
-            scorer.deficit().to_bits(),
-            scorer.deficit_of(&base).to_bits()
-        );
-        for _ in 0..2000 {
-            let mut moved = Vec::new();
-            let mut full = base.clone();
-            for _ in 0..rng.gen_range(0..40usize) {
-                let t = rng.gen_range(0..base.len());
-                if !moved.iter().any(|&(m, _)| m == t) {
-                    let p = draw(&mut rng);
-                    moved.push((t, p));
-                    full[t] = p;
+        // A δ whose log₂ is exact, one whose log₂ rounds, and one whose
+        // log₂ is near the largest magnitude a probability has.
+        for delta in [2f64.powi(-10), 3.1e-4, 1.7e-300] {
+            // The formula without the log2 skip, summed afresh.
+            let log2_delta = delta.log2();
+            let reference = |probabilities: &[f64]| -> f64 {
+                probabilities
+                    .iter()
+                    .map(|&p| (log2_delta - p.max(1e-300).log2()).max(0.0))
+                    .sum()
+            };
+            // Probabilities over many magnitudes, a few of them exactly 0
+            // or at δ, and some within a margin's width of δ, on either
+            // side of δ and of where the scorer starts to skip `log2`, so
+            // terms are of every size and many are 0.
+            let draw = |rng: &mut StdRng| match rng.gen_range(0..10u32) {
+                0 => 0.0,
+                1 => delta,
+                2 => delta * (1.0 + rng.gen_range(-1.0..2.0) * CLEAR_MARGIN),
+                3 => f64::from_bits(delta.to_bits() + rng.gen_range(1..4u64)),
+                _ => 2f64.powf(-rng.gen_range(0.0..30.0)),
+            };
+            let base: Vec<f64> = (0..500).map(|_| draw(&mut rng)).collect();
+            let mut scorer = DeltaScorer::new(delta);
+            scorer.reset(&base);
+            assert_eq!(scorer.deficit().to_bits(), reference(&base).to_bits());
+            for _ in 0..2000 {
+                let mut moved = Vec::new();
+                let mut full = base.clone();
+                for _ in 0..rng.gen_range(0..40usize) {
+                    let t = rng.gen_range(0..base.len());
+                    if !moved.iter().any(|&(m, _)| m == t) {
+                        let p = draw(&mut rng);
+                        moved.push((t, p));
+                        full[t] = p;
+                    }
                 }
+                let (meeting, deficit) = scorer.score(&moved);
+                let want = reference(&full);
+                assert_eq!(
+                    deficit.to_bits(),
+                    want.to_bits(),
+                    "δ {delta}: {deficit} vs {want}"
+                );
+                assert_eq!(scorer.deficit_of(&full).to_bits(), want.to_bits());
+                let meets = full.iter().filter(|&&p| p >= delta - 1e-12).count();
+                assert_eq!(meeting, meets);
             }
-            let (meeting, deficit) = scorer.score(&moved);
-            let want = scorer.deficit_of(&full);
-            assert_eq!(deficit.to_bits(), want.to_bits(), "{deficit} vs {want}");
-            let meets = full.iter().filter(|&&p| p >= delta - 1e-12).count();
-            assert_eq!(meeting, meets);
+        }
+    }
+
+    #[test]
+    fn workers_change_no_plan_stat_or_stop() {
+        use tpi_gen::dags::{random_dag, RandomDagConfig};
+        let c = random_dag(&RandomDagConfig::new(16, 150, 3)).unwrap();
+        let p = TpiProblem::min_cost(&c, Threshold::from_log2(-8.0)).unwrap();
+        let run = |threads: usize, max_cost: f64, control: &RunControl| {
+            GreedyOptimizer::new(GreedyConfig {
+                threads,
+                max_cost,
+                ..GreedyConfig::default()
+            })
+            .solve_with_stats(&p, control)
+            .unwrap()
+        };
+        let unlimited = RunControl::unlimited();
+        let one = run(1, f64::INFINITY, &unlimited);
+        let (plan, _, stats) = &one;
+        // Every round offers enough candidates for four workers.
+        assert!(stats.rounds > 2, "{stats:?}");
+        assert!(stats.probes >= 4 * CANDIDATES_PER_WORKER * stats.rounds);
+        for threads in [0, 2, 3, 4] {
+            assert_eq!(
+                run(threads, f64::INFINITY, &unlimited),
+                one,
+                "{threads} workers"
+            );
+        }
+        // A budget cut stops both counts at the same point.
+        let budget = plan.cost() / 2.0;
+        let cut = run(1, budget, &unlimited);
+        assert!(
+            cut.0.len() < plan.len() && cut.0.cost() <= budget,
+            "{}",
+            cut.0
+        );
+        assert_eq!(run(2, budget, &unlimited), cut);
+        // So does a token cancelled before the first round.
+        let cancelled = RunControl::cancellable();
+        cancelled.cancel();
+        let stopped = run(2, f64::INFINITY, &cancelled);
+        assert_eq!(stopped, run(1, f64::INFINITY, &cancelled));
+        assert_eq!(stopped.1, Some(StopReason::Cancelled));
+        assert!(stopped.0.is_empty());
+        assert_eq!(stopped.2, GreedyStats::default());
+    }
+
+    #[test]
+    fn the_earliest_failing_candidate_is_reported_at_every_worker_count() {
+        // 511 nodes, two candidates each: enough for four workers.
+        let c = and_cone(256);
+        let p = TpiProblem::min_cost(&c, Threshold::from_log2(-6.0)).unwrap();
+        let topo = Topology::of(&c).unwrap();
+        let cop = CopAnalysis::with_input_probs(&c, p.input_probs()).unwrap();
+        let sites: Vec<_> = p.targets().iter().map(|t| (t.node, t.stuck)).collect();
+        let probe = CopProbe::new(&c, &topo, &cop, &sites);
+        let base = PlanEvaluator::new(&p).unwrap().evaluate(&[]).unwrap();
+        let mut candidates: Vec<TestPoint> = c
+            .node_ids()
+            .flat_map(|id| {
+                [
+                    TestPoint::observe(id),
+                    TestPoint::new(id, TestPointKind::Full),
+                ]
+            })
+            .collect();
+        let missing = |index: usize| TestPoint::observe(tpi_netlist::NodeId::from_index(index));
+        assert!(candidates.len() >= 4 * CANDIDATES_PER_WORKER);
+        candidates[700] = missing(1_000);
+        candidates[300] = missing(2_000);
+        candidates[1_000] = missing(3_000);
+        for threads in 1..=4 {
+            let mut scorer = DeltaScorer::new(p.threshold().value());
+            scorer.reset(&base.probabilities);
+            let got = score_round(&candidates, probe.clone(), &mut scorer, threads);
+            assert_eq!(
+                got.unwrap_err(),
+                NetlistError::NoSuchNode { index: 2_000 },
+                "{threads} workers"
+            );
         }
     }
 

@@ -4,9 +4,9 @@
 # --metrics-out` (constructive, dp and greedy; constructive also on
 # results/dag400_s5.bench, run from the repo root) must write well-formed
 # registry snapshots with the expected keys, the batch summary line must
-# carry the per-status split, `tpi insert --method dp` must print the same
-# report and DP work counters at `--threads 1` and `--threads 2`, and
-# `tpi stats` must render the snapshot as a table.
+# carry the per-status split, `tpi insert --method dp` and `--method
+# greedy` must print the same report and work counters at `--threads 1`
+# and `--threads 2`, and `tpi stats` must render the snapshot as a table.
 set -euo pipefail
 
 TPI="${TPI:-target/release/tpi}"
@@ -208,6 +208,26 @@ probes = doc["core.greedy.probes"]["value"]
 assert rounds >= 1 and probes > 0, (rounds, probes)
 assert doc["core.greedy.probe_nodes"]["value"] >= probes, doc["core.greedy.probe_nodes"]
 print("greedy insert metrics: ok (rounds, probes, probe nodes)")
+EOF
+
+# ---- insert --method greedy: --threads changes no plan. ----
+# Every greedy round on results/dag400_s5.bench scores about 1 700
+# candidates, enough for a scoring worker per thread; one and two workers
+# must print the same report and publish the same work counters. Only the
+# verification line names the thread count.
+for t in 1 2; do
+  "$TPI" insert results/dag400_s5.bench --log2-threshold -10 --method greedy --threads "$t" \
+    --metrics-out "$dir/greedy_t$t.json" | sed -E 's/, [0-9]+ threads\)$/, N threads)/' > "$dir/greedy_t$t.txt"
+done
+diff "$dir/greedy_t1.txt" "$dir/greedy_t2.txt"
+python3 - "$dir/greedy_t1.json" "$dir/greedy_t2.json" <<'EOF'
+import json, sys
+one, two = (json.load(open(path)) for path in sys.argv[1:])
+for key in ["core.greedy.rounds", "core.greedy.probes", "core.greedy.probe_nodes"]:
+    assert one[key]["value"] == two[key]["value"], (key, one[key], two[key])
+rounds, probes = one["core.greedy.rounds"]["value"], one["core.greedy.probes"]["value"]
+assert rounds >= 2 and probes >= 256 * rounds, (rounds, probes)
+print(f"greedy threads: ok (same report and work counters at 1 and 2 workers, {rounds} rounds)")
 EOF
 
 # ---- tpi stats renders the snapshot as a table. ----

@@ -27,7 +27,8 @@
 //! Netlists are ISCAS-85 `.bench` files; `DFF`s are treated as full-scan
 //! pseudo-ports. Every command refuses a `--flag` it does not read.
 //! `--threads` sets the fault simulation's workers and, for `insert
-//! --method dp`, the tree DP's; results do not depend on it.
+//! --method dp|greedy`, the tree DP's or greedy's scoring workers;
+//! results do not depend on it.
 //! `insert --method constructive` runs on a [`TpiEngine`] session, the
 //! same loop `batch` and `serve` run.
 
@@ -122,9 +123,9 @@ fn print_usage() {
          [--max-patterns N] [--max-sessions N] [--accept-queue N] [--max-inflight N]\n           \
          [--shared-memo-capacity N] [--isolated-memo] [--metrics-out FILE]\n  \
          tpi stats    <metrics.json>\n\n\
-         --threads N: fault-simulation workers and, for insert --method dp, the\n\
-         tree DP's workers (default: every hardware thread; results do not\n\
-         depend on it)"
+         --threads N: fault-simulation workers and, for insert --method dp|greedy,\n\
+         the tree DP's or greedy's scoring workers (default: every hardware\n\
+         thread; results do not depend on it)"
     );
 }
 
@@ -283,8 +284,9 @@ fn analyze(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `--threads N`: simulation workers (and, for `insert --method dp`, the
-/// tree DP's workers), every available hardware thread by default.
+/// `--threads N`: simulation workers (and, for `insert --method
+/// dp|greedy`, the tree DP's or greedy's scoring workers), every
+/// available hardware thread by default.
 fn threads_flag(flags: &Flags) -> Result<usize, String> {
     let default = std::thread::available_parallelism().map_or(1, |n| n.get());
     match flags.num("threads", default)? {
@@ -531,8 +533,11 @@ fn insert_coverage(flags: &Flags) -> Result<(), String> {
             plan
         }
         "greedy" => {
+            // `--threads` also sets greedy's scoring workers; the plan is
+            // the same at every count.
             let (plan, stopped, stats) = GreedyOptimizer::new(GreedyConfig {
                 candidate_eval,
+                threads,
                 ..GreedyConfig::default()
             })
             .solve_with_stats(&problem, &control)
